@@ -198,12 +198,6 @@ class Archive {
   std::unique_ptr<ArchiveNode> root_;
 };
 
-/// Resolves a KeyStep against archive children: finds the child whose label
-/// matches tag and key values (plain text values match canonical "T<text>"
-/// or raw stored forms). Returns nullptr if absent.
-const ArchiveNode* FindChildByKeyStep(const ArchiveNode& parent,
-                                      const KeyStep& step);
-
 }  // namespace xarch::core
 
 #endif  // XARCH_CORE_ARCHIVE_H_

@@ -6,7 +6,6 @@
 #include <functional>
 #include <vector>
 
-#include "core/archive.h"
 #include "core/changes.h"
 #include "core/tree_view.h"
 #include "index/archive_index.h"
@@ -72,32 +71,27 @@ struct EvalOptions {
   obs::Trace::SpanId trace_parent = obs::Trace::kNoSpan;
 };
 
-/// \brief Streaming evaluation over the merged hierarchy (the archive
-/// plans): walks the archive once, serializing straight into `sink` —
-/// no intermediate xml::Node tree is materialized. With `index` non-null
-/// keyed steps use the sorted-key binary search and snapshots are pruned
-/// by the timestamp trees; otherwise every step is a full child scan.
-/// The archive (and index) must not be mutated during the call — the
-/// Store layer guarantees that by holding the store's reader lock.
-Status Evaluate(const Plan& plan, const core::Archive& archive,
-                const index::ArchiveIndex* index, Sink& sink,
-                EvalResult* result, const EvalOptions& options = {});
-
-/// Change-list provider for `@ diff` on view evaluations. The heap path
-/// binds core::DescribeChanges; a mapped store materializes its archive
-/// once and binds the same. Null-valued = diff unsupported.
+/// Change-list provider for `@ diff` on archive evaluations: the store
+/// binds core::DescribeChanges over its heap archive (loaded on demand when
+/// the store is mapped). Empty = diff unsupported.
 using ArchiveDiffFn =
     std::function<StatusOr<std::vector<core::Change>>(Version from,
                                                       Version to)>;
 
-/// The archive-plan evaluator over any ArchiveView — the one
-/// implementation behind Evaluate(); mapped XAR2 stores call it directly
-/// with their FlatArchiveView + FlatViewIndex, producing bytes and probe
-/// counts identical to the heap path.
-Status EvaluateView(const Plan& plan, const core::ArchiveView& view,
-                    const index::ViewIndex* index, const ArchiveDiffFn& diff,
-                    Sink& sink, EvalResult* result,
-                    const EvalOptions& options = {});
+/// \brief Streaming evaluation over the merged hierarchy (the archive
+/// plans): walks the archive view once, serializing straight into `sink`
+/// — no intermediate xml::Node tree is materialized. The view is heap
+/// nodes (core::HeapArchiveView) or mapped XAR2 records
+/// (core::FlatArchiveView); both produce identical bytes and probe counts.
+/// With `index` non-null keyed steps use the sorted-key binary search and
+/// snapshots are pruned by the timestamp trees; otherwise every step is a
+/// full child scan. The archive (and index) must not be mutated during the
+/// call — the Store layer guarantees that by holding the store's reader
+/// lock.
+Status Evaluate(const Plan& plan, const core::ArchiveView& view,
+                const index::ViewIndex* index, const ArchiveDiffFn& diff,
+                Sink& sink, EvalResult* result,
+                const EvalOptions& options = {});
 
 /// \brief Interface-level evaluation through Store primitives (the
 /// kGeneric plan): snapshots via Retrieve() + parse + navigate, history

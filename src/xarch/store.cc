@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cstdlib>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "compress/container.h"
@@ -19,6 +21,7 @@
 #include "persist/wire.h"
 #include "diff/repository.h"
 #include "index/archive_index.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/evaluator.h"
@@ -413,36 +416,74 @@ IngestMetrics MakeIngestMetrics(const std::string& backend) {
 
 // --------------------------------------------------------------- archive
 
+/// The archive options and index flag a snapshot's "opts" section records,
+/// checked against the backend restoring it.
+Status DecodeArchiveOpts(std::string_view opts, const char* name,
+                         core::FrontierStrategy expected_frontier,
+                         core::ArchiveOptions* options, bool* use_index) {
+  persist::Cursor cursor(opts);
+  uint8_t indexed = 0;
+  XARCH_RETURN_NOT_OK(DecodeArchiveOptions(cursor, options));
+  XARCH_RETURN_NOT_OK(cursor.ReadU8(&indexed));
+  XARCH_RETURN_NOT_OK(cursor.ExpectDone());
+  if (options->frontier != expected_frontier) {
+    return Status::DataLoss(
+        std::string("snapshot frontier strategy does not match backend \"") +
+        name + "\"");
+  }
+  *use_index = indexed != 0;
+  return Status::OK();
+}
+
 /// The paper's key-based archive (bucket or weave frontier) behind Store.
+///
+/// Reads run over one core::ArchiveView and its index::ViewIndex, backed
+/// by either of two states:
+///   - heap: a core::Archive (HeapArchiveView) with the ArchiveIndex that
+///     every ingest republishes (HeapViewIndex);
+///   - mapped: a verified XAR2 snapshot whose flat sections (FlatArchive,
+///     FlatViewIndex) are navigated in place — open is O(mmap + checksum
+///     verify) and no heap archive node is built.
+/// A mapped store loads the heap archive lazily, only for what needs it
+/// (diff walks, stored-bytes serialization), and its first ingest turns it
+/// into a heap store for good, releasing the snapshot bytes.
 class ArchiveStore final : public Store {
  public:
+  /// A fresh, empty heap store.
   ArchiveStore(std::string name, keys::KeySpecSet spec,
-               core::ArchiveOptions options, bool use_index,
-               int snapshot_format)
+               core::ArchiveOptions options, bool use_index)
+      : ArchiveStore(std::move(name),
+                     core::Archive(std::move(spec), options), use_index) {}
+
+  /// A heap store over an archive loaded from an XAR1 snapshot. The index
+  /// is derived state and is rebuilt here.
+  ArchiveStore(std::string name, core::Archive archive, bool use_index)
       : name_(std::move(name)),
-        archive_(std::move(spec), options),
         use_index_(use_index),
-        snapshot_format_(snapshot_format),
-        ingest_metrics_(MakeIngestMetrics(name_)) {
-    // The index over the empty archive, so readers never see a null index
-    // while use_index_ is set; every ingest republishes it.
+        ingest_metrics_(MakeIngestMetrics(name_)),
+        archive_(std::make_unique<core::Archive>(std::move(archive))),
+        view_(std::make_unique<core::HeapArchiveView>(archive_.get())) {
+    // Published before any read, so readers never see a null index while
+    // use_index_ is set; every ingest republishes it.
     PublishIndex();
   }
 
-  /// Restore path: adopts an archive loaded from a snapshot. The heap
-  /// index is rebuilt from scratch here — XAR2 snapshots do persist index
-  /// pages, but those serve the mapped read path; the heap store's index
-  /// is derived state and rebuild-on-open keeps it consistent with
-  /// whatever ingest follows.
-  ArchiveStore(std::string name, core::Archive archive, bool use_index,
-               int snapshot_format)
+  /// A mapped store over an XAR2 snapshot whose flat sections (and index
+  /// pages, when present) are already attached.
+  ArchiveStore(std::string name, persist::SnapshotView snapshot,
+               std::unique_ptr<core::FlatArchive> flat,
+               std::unique_ptr<index::ViewIndex> flat_index,
+               keys::KeySpecSet spec, core::ArchiveOptions options,
+               bool use_index)
       : name_(std::move(name)),
-        archive_(std::move(archive)),
         use_index_(use_index),
-        snapshot_format_(snapshot_format),
-        ingest_metrics_(MakeIngestMetrics(name_)) {
-    PublishIndex();
-  }
+        ingest_metrics_(MakeIngestMetrics(name_)),
+        snapshot_(std::move(snapshot)),
+        flat_(std::move(flat)),
+        spec_(std::move(spec)),
+        options_(options),
+        view_(std::make_unique<core::FlatArchiveView>(flat_.get())),
+        view_index_(std::move(flat_index)) {}
 
   std::string name() const override { return name_; }
   Capabilities capabilities() const override {
@@ -450,10 +491,73 @@ class ArchiveStore final : public Store {
            kPersistence;
   }
 
+  /// Heap restore path (XAR1): parses the archive section into a heap
+  /// store.
+  static StatusOr<std::unique_ptr<Store>> Restore(
+      const persist::SnapshotReader& snapshot, const char* name,
+      core::FrontierStrategy expected_frontier) {
+    XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec, SpecFromSnapshot(snapshot));
+    XARCH_ASSIGN_OR_RETURN(std::string_view opts, snapshot.Section("opts"));
+    core::ArchiveOptions options;
+    bool use_index = false;
+    XARCH_RETURN_NOT_OK(DecodeArchiveOpts(opts, name, expected_frontier,
+                                          &options, &use_index));
+    XARCH_ASSIGN_OR_RETURN(std::string_view xml, snapshot.Section("archive"));
+    XARCH_ASSIGN_OR_RETURN(
+        core::Archive archive,
+        ArchiveFromSnapshotXml(xml, std::move(spec), options));
+    return std::unique_ptr<Store>(
+        std::make_unique<ArchiveStore>(name, std::move(archive), use_index));
+  }
+
+  /// Mapped restore path (XAR2): attaches the flat sections (and index
+  /// pages when present) of an already-verified snapshot view.
+  static StatusOr<std::unique_ptr<Store>> Restore(
+      const persist::SnapshotView& snapshot, const char* name,
+      core::FrontierStrategy expected_frontier) {
+    XARCH_ASSIGN_OR_RETURN(std::string spec_text,
+                           snapshot.SectionString("spec"));
+    auto spec = keys::ParseKeySpecSet(spec_text);
+    if (!spec.ok()) {
+      return Status::DataLoss("snapshot key specification does not parse: " +
+                              spec.status().message());
+    }
+    XARCH_ASSIGN_OR_RETURN(std::string opts, snapshot.SectionString("opts"));
+    core::ArchiveOptions options;
+    bool use_index = false;
+    XARCH_RETURN_NOT_OK(DecodeArchiveOpts(opts, name, expected_frontier,
+                                          &options, &use_index));
+    core::FlatArchive::Sections sections;
+    XARCH_ASSIGN_OR_RETURN(sections.meta, snapshot.RawSection("meta"));
+    XARCH_ASSIGN_OR_RETURN(sections.strings, snapshot.RawSection("strings"));
+    XARCH_ASSIGN_OR_RETURN(sections.stamps, snapshot.RawSection("stamps"));
+    XARCH_ASSIGN_OR_RETURN(sections.nodes, snapshot.RawSection("nodes"));
+    XARCH_ASSIGN_OR_RETURN(sections.parts, snapshot.RawSection("parts"));
+    XARCH_ASSIGN_OR_RETURN(sections.attrs, snapshot.RawSection("attrs"));
+    XARCH_ASSIGN_OR_RETURN(sections.buckets, snapshot.RawSection("buckets"));
+    XARCH_ASSIGN_OR_RETURN(sections.content, snapshot.RawSection("content"));
+    XARCH_ASSIGN_OR_RETURN(core::FlatArchive flat,
+                           core::FlatArchive::Attach(sections));
+    auto flat_owned = std::make_unique<core::FlatArchive>(std::move(flat));
+    std::unique_ptr<index::ViewIndex> flat_index;
+    if (snapshot.HasSection("index")) {
+      XARCH_ASSIGN_OR_RETURN(std::string_view pages,
+                             snapshot.RawSection("index"));
+      XARCH_ASSIGN_OR_RETURN(
+          index::FlatViewIndex attached,
+          index::FlatViewIndex::Attach(flat_owned.get(), pages));
+      flat_index = std::make_unique<index::FlatViewIndex>(std::move(attached));
+    }
+    return std::unique_ptr<Store>(std::make_unique<ArchiveStore>(
+        name, snapshot, std::move(flat_owned), std::move(flat_index),
+        std::move(*spec), options, use_index));
+  }
+
  protected:
   Status AppendImpl(std::string_view xml_text) override {
+    XARCH_RETURN_NOT_OK(LeaveSnapshot());
     XARCH_ASSIGN_OR_RETURN(xml::NodePtr doc, xml::Parse(xml_text));
-    XARCH_RETURN_NOT_OK(archive_.AddVersion(*doc));
+    XARCH_RETURN_NOT_OK(archive_->AddVersion(*doc));
     PublishIndex();
     ingest_metrics_.Record(1);
     return Status::OK();
@@ -461,6 +565,7 @@ class ArchiveStore final : public Store {
 
   Status AppendBatchImpl(
       const std::vector<std::string_view>& xml_texts) override {
+    XARCH_RETURN_NOT_OK(LeaveSnapshot());
     std::vector<xml::NodePtr> docs;
     docs.reserve(xml_texts.size());
     std::vector<const xml::Node*> roots;
@@ -470,7 +575,7 @@ class ArchiveStore final : public Store {
       roots.push_back(doc.get());
       docs.push_back(std::move(doc));
     }
-    XARCH_RETURN_NOT_OK(archive_.AddVersions(roots));  // one merge pass
+    XARCH_RETURN_NOT_OK(archive_->AddVersions(roots));  // one merge pass
     PublishIndex();
     ingest_metrics_.Record(xml_texts.size());
     return Status::OK();
@@ -483,19 +588,22 @@ class ArchiveStore final : public Store {
   }
 
   Status RetrieveToImpl(Version v, Sink& sink) override {
-    if (v == 0 || v > archive_.version_count()) {
+    const Version count = view_->version_count();
+    if (v == 0 || v > count) {
       return Status::NotFound("version " + std::to_string(v) +
                               " is not archived (have 1-" +
-                              std::to_string(archive_.version_count()) + ")");
+                              std::to_string(count) + ")");
     }
     // The Sec. 7.1 scan fused with serialization: straight off the merged
-    // hierarchy, no xml::Node is ever constructed.
+    // hierarchy (heap nodes or mapped records), no xml::Node is built.
     core::ScanCursor cursor(
         xml::SerializeOptions{},
         [&sink](std::string_view chunk) { return sink.Append(chunk); });
-    for (const auto& child : archive_.root().children) {
-      if (child->stamp.has_value() && !child->stamp->Contains(v)) continue;
-      XARCH_RETURN_NOT_OK(cursor.Scan(*child, v, 0));
+    const core::ArchiveView::NodeId root = view_->Root();
+    for (size_t i = 0; i < view_->ChildCount(root); ++i) {
+      const core::ArchiveView::NodeId child = view_->Child(root, i);
+      if (view_->HasStamp(child) && !view_->StampContains(child, v)) continue;
+      XARCH_RETURN_NOT_OK(cursor.Scan(*view_, child, v, 0));
       break;  // exactly one top element is active per version
     }
     XARCH_RETURN_NOT_OK(cursor.Finish());
@@ -504,22 +612,22 @@ class ArchiveStore final : public Store {
 
   StatusOr<VersionSet> HistoryImpl(
       const std::vector<core::KeyStep>& path) override {
-    if (index_ != nullptr) return index_->History(path, nullptr);
-    return archive_.History(path);
+    if (view_index_ != nullptr) return view_index_->History(path, nullptr);
+    return core::HistoryOverView(*view_, path);
   }
 
   StatusOr<std::vector<core::Change>> DiffVersionsImpl(Version from,
                                                        Version to) override {
-    return core::DescribeChanges(archive_, from, to);
+    XARCH_ASSIGN_OR_RETURN(const core::Archive* heap, HeapArchive());
+    return core::DescribeChanges(*heap, from, to);
   }
 
   Status QueryImpl(std::string_view query_text, Sink& sink,
                    obs::Trace* trace) override {
     // Diff queries run the change walk and never touch the index. The
-    // index itself was published by the last ingest, under the writer
-    // lock — the read path only ever dereferences it (the Sec. 7 stale-
-    // index hazard is handled at ingest, where it belongs).
-    const index::ArchiveIndex* index = nullptr;
+    // index itself was published by the last ingest (or attached at
+    // open), under the writer lock — the read path only dereferences it.
+    const index::ViewIndex* index = nullptr;
     obs::Trace analyze_trace;
     XARCH_ASSIGN_OR_RETURN(
         query::Plan plan,
@@ -527,69 +635,69 @@ class ArchiveStore final : public Store {
                            [&](const query::Query& ast) {
                              if (ast.temporal.kind !=
                                  query::TemporalKind::kDiff) {
-                               index = index_.get();
+                               index = view_index_.get();
                              }
                              return index != nullptr
                                         ? query::Access::kArchiveIndexed
                                         : query::Access::kArchiveScan;
                            }));
-    assert(index == nullptr ||
-           index->built_at_generation() == archive_.ingest_generation());
+    assert(index_ == nullptr ||
+           index_->built_at_generation() == archive_->ingest_generation());
+    query::ArchiveDiffFn diff =
+        [this](Version from, Version to) { return DiffVersionsImpl(from, to); };
     query::EvalOptions eval_options;
     eval_options.pool = &util::ThreadPool::Shared();
     eval_options.trace = trace;
     query::EvalResult result;
     Status status =
         plan.ast.explain
-            ? query::ExplainArchive(plan, archive_, index, sink, &result,
-                                    eval_options)
-            : query::Evaluate(plan, archive_, index, sink, &result,
+            ? query::Explain(plan, *view_, index, diff, sink, &result,
+                             eval_options)
+            : query::Evaluate(plan, *view_, index, diff, sink, &result,
                               eval_options);
     CountQuery(result);
     return status;
   }
 
-  Version VersionCountImpl() const override {
-    return archive_.version_count();
-  }
+  Version VersionCountImpl() const override { return view_->version_count(); }
 
   StoreStats BackendStats() const override {
     StoreStats stats;
-    stats.versions = archive_.version_count();
+    stats.versions = view_->version_count();
     stats.stored_bytes = StoredBytesImpl().size();
-    stats.node_count = archive_.CountNodes();
-    stats.merge_passes = archive_.merge_pass_count();
+    auto heap = HeapArchive();
+    if (heap.ok()) {
+      stats.node_count = (*heap)->CountNodes();
+      stats.merge_passes = (*heap)->merge_pass_count();
+    }
     return stats;
   }
 
   std::string StoredBytesImpl() const override {
+    auto heap = HeapArchive();
+    if (!heap.ok()) return std::string();
     // Indentation-free form: the archive nests two levels deeper than a
     // version, so indentation would bias size comparisons against it.
     core::ArchiveSerializeOptions options;
     options.indent_width = 0;
-    return archive_.ToXml(options);
+    return (*heap)->ToXml(options);
   }
 
+  /// XAR2: the metadata and flat sections are stored raw so a mapped
+  /// reader navigates them in place; only the archive XML (kept for the
+  /// heap load behind diffs, stored bytes and ingest) is worth compressing.
+  /// Only heap stores get here: SnapshotBytesImpl returns an unmodified
+  /// mapped store's container verbatim.
   Status SnapshotImpl(persist::SnapshotWriter& writer) const override {
+    const core::Archive& archive = *archive_;
     std::string opts;
-    EncodeArchiveOptions(archive_.options(), &opts);
+    EncodeArchiveOptions(archive.options(), &opts);
     persist::PutU8(use_index_ ? 1 : 0, &opts);
-    if (snapshot_format_ != 2) {
-      writer.Add("backend", name_);
-      writer.Add("spec", SpecToText(archive_.spec()));
-      writer.Add("opts", std::move(opts));
-      writer.Add("archive", ArchiveXmlCompact(archive_));
-      return Status::OK();
-    }
-    // XAR2: the metadata and flat sections are stored raw so a mapped
-    // reader navigates them in place; only the archive XML (kept for heap
-    // materialization and the v1-style restore of derived state) is worth
-    // compressing.
     writer.AddRaw("backend", name_);
-    writer.AddRaw("spec", SpecToText(archive_.spec()));
+    writer.AddRaw("spec", SpecToText(archive.spec()));
     writer.AddRaw("opts", std::move(opts));
-    writer.Add("archive", ArchiveXmlCompact(archive_));
-    core::FlatArchiveEncoder encoder(archive_);
+    writer.Add("archive", ArchiveXmlCompact(archive));
+    core::FlatArchiveEncoder encoder(archive);
     encoder.EncodeStructure();
     std::string index_pages;
     if (index_ != nullptr) {
@@ -611,327 +719,79 @@ class ArchiveStore final : public Store {
   }
 
   StatusOr<std::string> SnapshotBytesImpl() const override {
+    if (snapshot_.has_value()) return std::string(snapshot_->bytes());
     persist::SnapshotWriter::Options options;
-    options.format = snapshot_format_ == 2 ? persist::kContainerFormatVersion2
-                                           : persist::kContainerFormatVersion;
+    options.format = persist::kContainerFormatVersion2;
     persist::SnapshotWriter writer(options);
     XARCH_RETURN_NOT_OK(SnapshotImpl(writer));
     return writer.Serialize();
   }
 
- public:
-  static StatusOr<std::unique_ptr<Store>> Restore(
-      const persist::SnapshotReader& snapshot, const char* name,
-      core::FrontierStrategy expected_frontier, int snapshot_format) {
-    XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec, SpecFromSnapshot(snapshot));
-    XARCH_ASSIGN_OR_RETURN(std::string_view opts, snapshot.Section("opts"));
-    persist::Cursor cursor(opts);
-    core::ArchiveOptions options;
-    uint8_t use_index = 0;
-    XARCH_RETURN_NOT_OK(DecodeArchiveOptions(cursor, &options));
-    XARCH_RETURN_NOT_OK(cursor.ReadU8(&use_index));
-    XARCH_RETURN_NOT_OK(cursor.ExpectDone());
-    if (options.frontier != expected_frontier) {
-      return Status::DataLoss(
-          std::string("snapshot frontier strategy does not match backend \"") +
-          name + "\"");
-    }
-    XARCH_ASSIGN_OR_RETURN(std::string_view xml, snapshot.Section("archive"));
-    XARCH_ASSIGN_OR_RETURN(
-        core::Archive archive,
-        ArchiveFromSnapshotXml(xml, std::move(spec), options));
-    return std::unique_ptr<Store>(std::make_unique<ArchiveStore>(
-        name, std::move(archive), use_index != 0, snapshot_format));
-  }
-
  private:
-  /// The synchronized publish step: (re)builds the index from the ingest
-  /// path, under the exclusive lock every ingest already holds — readers
-  /// can never observe the swap, and the read path never mutates.
-  void PublishIndex() {
-    if (!use_index_) return;
-    index_ = std::make_unique<index::ArchiveIndex>(archive_);
-  }
-
-  std::string name_;
-  core::Archive archive_;
-  bool use_index_;
-  int snapshot_format_;
-  IngestMetrics ingest_metrics_;
-  std::unique_ptr<index::ArchiveIndex> index_;  // published by ingest
-};
-
-// ------------------------------------------------------- mapped archive
-
-/// An archive store open directly over a mapped XAR2 snapshot. Retrieval,
-/// history, and queries navigate the flat record arenas in place — open is
-/// O(mmap + checksum verify) and the scan allocates no xml::Node (nor any
-/// heap ArchiveNode). The heap archive is materialized lazily, only for
-/// the operations that genuinely need it (diff walks, stored-bytes
-/// serialization); the first ingest promotes the whole store to a heap
-/// ArchiveStore and forwards to it from then on.
-class MappedArchiveStore final : public Store {
- public:
-  MappedArchiveStore(std::string name, persist::SnapshotView snapshot,
-                     std::unique_ptr<core::FlatArchive> flat,
-                     std::unique_ptr<index::FlatViewIndex> flat_index,
-                     keys::KeySpecSet spec, core::ArchiveOptions options,
-                     bool use_index, int snapshot_format)
-      : name_(std::move(name)),
-        snapshot_(std::move(snapshot)),
-        flat_(std::move(flat)),
-        flat_index_(std::move(flat_index)),
-        view_(flat_.get()),
-        spec_(std::move(spec)),
-        options_(options),
-        use_index_(use_index),
-        snapshot_format_(snapshot_format) {}
-
-  std::string name() const override { return name_; }
-  Capabilities capabilities() const override {
-    return kTemporalQueries | kStreamingRetrieve | kBatchIngest | kQuery |
-           kPersistence;
-  }
-
-  /// Mapped restore path: attaches the flat sections (and index pages when
-  /// present) of an already-verified XAR2 snapshot view.
-  static StatusOr<std::unique_ptr<Store>> Restore(
-      const persist::SnapshotView& snapshot, const char* name,
-      core::FrontierStrategy expected_frontier, int snapshot_format) {
-    XARCH_ASSIGN_OR_RETURN(std::string spec_text,
-                           snapshot.SectionString("spec"));
-    auto spec = keys::ParseKeySpecSet(spec_text);
-    if (!spec.ok()) {
-      return Status::DataLoss("snapshot key specification does not parse: " +
-                              spec.status().message());
-    }
-    XARCH_ASSIGN_OR_RETURN(std::string opts, snapshot.SectionString("opts"));
-    persist::Cursor cursor(opts);
-    core::ArchiveOptions options;
-    uint8_t use_index = 0;
-    XARCH_RETURN_NOT_OK(DecodeArchiveOptions(cursor, &options));
-    XARCH_RETURN_NOT_OK(cursor.ReadU8(&use_index));
-    XARCH_RETURN_NOT_OK(cursor.ExpectDone());
-    if (options.frontier != expected_frontier) {
-      return Status::DataLoss(
-          std::string("snapshot frontier strategy does not match backend \"") +
-          name + "\"");
-    }
-    core::FlatArchive::Sections sections;
-    XARCH_ASSIGN_OR_RETURN(sections.meta, snapshot.RawSection("meta"));
-    XARCH_ASSIGN_OR_RETURN(sections.strings, snapshot.RawSection("strings"));
-    XARCH_ASSIGN_OR_RETURN(sections.stamps, snapshot.RawSection("stamps"));
-    XARCH_ASSIGN_OR_RETURN(sections.nodes, snapshot.RawSection("nodes"));
-    XARCH_ASSIGN_OR_RETURN(sections.parts, snapshot.RawSection("parts"));
-    XARCH_ASSIGN_OR_RETURN(sections.attrs, snapshot.RawSection("attrs"));
-    XARCH_ASSIGN_OR_RETURN(sections.buckets, snapshot.RawSection("buckets"));
-    XARCH_ASSIGN_OR_RETURN(sections.content, snapshot.RawSection("content"));
-    XARCH_ASSIGN_OR_RETURN(core::FlatArchive flat,
-                           core::FlatArchive::Attach(sections));
-    auto flat_owned = std::make_unique<core::FlatArchive>(std::move(flat));
-    std::unique_ptr<index::FlatViewIndex> flat_index;
-    if (snapshot.HasSection("index")) {
-      XARCH_ASSIGN_OR_RETURN(std::string_view pages,
-                             snapshot.RawSection("index"));
-      XARCH_ASSIGN_OR_RETURN(
-          index::FlatViewIndex attached,
-          index::FlatViewIndex::Attach(flat_owned.get(), pages));
-      flat_index = std::make_unique<index::FlatViewIndex>(std::move(attached));
-    }
-    return std::unique_ptr<Store>(std::make_unique<MappedArchiveStore>(
-        name, snapshot, std::move(flat_owned), std::move(flat_index),
-        std::move(*spec), options, use_index != 0, snapshot_format));
-  }
-
- protected:
-  Status AppendImpl(std::string_view xml_text) override {
-    XARCH_RETURN_NOT_OK(Promote());
-    return promoted_->Append(xml_text);
-  }
-
-  Status AppendBatchImpl(
-      const std::vector<std::string_view>& xml_texts) override {
-    XARCH_RETURN_NOT_OK(Promote());
-    return promoted_->AppendBatch(xml_texts);
-  }
-
-  StatusOr<std::string> RetrieveImpl(Version v) override {
-    if (promoted_ != nullptr) return promoted_->Retrieve(v);
-    StringSink sink;
-    XARCH_RETURN_NOT_OK(RetrieveToImpl(v, sink));
-    return std::move(sink).Take();
-  }
-
-  Status RetrieveToImpl(Version v, Sink& sink) override {
-    if (promoted_ != nullptr) return promoted_->RetrieveTo(v, sink);
-    if (v == 0 || v > flat_->version_count()) {
-      return Status::NotFound("version " + std::to_string(v) +
-                              " is not archived (have 1-" +
-                              std::to_string(flat_->version_count()) + ")");
-    }
-    // The same fused scan as the heap store, driven by record offsets
-    // instead of node pointers.
-    core::ScanCursor cursor(
-        xml::SerializeOptions{},
-        [&sink](std::string_view chunk) { return sink.Append(chunk); });
-    const core::ArchiveView::NodeId root = view_.Root();
-    for (size_t i = 0; i < view_.ChildCount(root); ++i) {
-      const core::ArchiveView::NodeId child = view_.Child(root, i);
-      if (view_.HasStamp(child) && !view_.StampContains(child, v)) continue;
-      XARCH_RETURN_NOT_OK(cursor.Scan(view_, child, v, 0));
-      break;  // exactly one top element is active per version
-    }
-    XARCH_RETURN_NOT_OK(cursor.Finish());
-    return sink.Flush();
-  }
-
-  StatusOr<VersionSet> HistoryImpl(
-      const std::vector<core::KeyStep>& path) override {
-    if (promoted_ != nullptr) return promoted_->History(path);
-    if (flat_index_ != nullptr) return flat_index_->History(path, nullptr);
-    return core::HistoryOverView(view_, path);
-  }
-
-  StatusOr<std::vector<core::Change>> DiffVersionsImpl(Version from,
-                                                       Version to) override {
-    if (promoted_ != nullptr) return promoted_->DiffVersions(from, to);
-    XARCH_ASSIGN_OR_RETURN(const core::Archive* heap, HeapArchive());
-    return core::DescribeChanges(*heap, from, to);
-  }
-
-  Status QueryImpl(std::string_view query_text, Sink& sink,
-                   obs::Trace* trace) override {
-    if (promoted_ != nullptr) return promoted_->Query(query_text, sink, trace);
-    const index::ViewIndex* index = nullptr;
-    obs::Trace analyze_trace;
-    XARCH_ASSIGN_OR_RETURN(
-        query::Plan plan,
-        ParseAndPlanTraced(query_text, &analyze_trace, &trace,
-                           [&](const query::Query& ast) {
-                             if (ast.temporal.kind !=
-                                 query::TemporalKind::kDiff) {
-                               index = flat_index_.get();
-                             }
-                             return index != nullptr
-                                        ? query::Access::kArchiveIndexed
-                                        : query::Access::kArchiveScan;
-                           }));
-    query::ArchiveDiffFn diff =
-        [this](Version from, Version to) -> StatusOr<std::vector<core::Change>> {
-      XARCH_ASSIGN_OR_RETURN(const core::Archive* heap, HeapArchive());
-      return core::DescribeChanges(*heap, from, to);
-    };
-    query::EvalOptions eval_options;
-    eval_options.pool = &util::ThreadPool::Shared();
-    eval_options.trace = trace;
-    query::EvalResult result;
-    Status status = plan.ast.explain
-                        ? query::ExplainView(plan, view_, index, diff, sink,
-                                             &result, eval_options)
-                        : query::EvaluateView(plan, view_, index, diff, sink,
-                                              &result, eval_options);
-    CountQuery(result);
-    return status;
-  }
-
-  Version VersionCountImpl() const override {
-    return promoted_ != nullptr ? promoted_->version_count()
-                                : flat_->version_count();
-  }
-
-  StoreStats BackendStats() const override {
-    if (promoted_ != nullptr) return promoted_->Stats();
-    StoreStats stats;
-    stats.versions = flat_->version_count();
-    stats.stored_bytes = StoredBytesImpl().size();
-    auto heap = HeapArchive();
-    if (heap.ok()) stats.node_count = (*heap)->CountNodes();
-    return stats;
-  }
-
-  std::string StoredBytesImpl() const override {
-    if (promoted_ != nullptr) return promoted_->StoredBytes();
-    auto heap = HeapArchive();
-    if (!heap.ok()) return std::string();
-    core::ArchiveSerializeOptions options;
-    options.indent_width = 0;
-    return (*heap)->ToXml(options);
-  }
-
-  StatusOr<std::string> SnapshotBytesImpl() const override {
-    // Unmodified, the snapshot is the mapped file itself, byte for byte;
-    // after promotion the heap store serializes fresh sections.
-    if (promoted_ != nullptr) return promoted_->SaveToBytes();
-    if (snapshot_format_ != 2) {
-      // Asked to downgrade: re-emit the legacy container from the
-      // snapshot's own backend/spec/opts/archive sections — the same
-      // bytes a heap ArchiveStore with snapshot_format=1 would write.
-      persist::SnapshotWriter writer;
-      for (const char* section : {"backend", "spec", "opts", "archive"}) {
-        XARCH_ASSIGN_OR_RETURN(std::string text,
-                               snapshot_.SectionString(section));
-        writer.Add(section, text);
-      }
-      return writer.Serialize();
-    }
-    return std::string(snapshot_.bytes());
-  }
-
- private:
-  /// The lazily-materialized heap archive (parsed from the snapshot's
-  /// archive XML). Read hooks run under the SHARED store lock, so the
-  /// cache has its own mutex; the result pointer is stable until Promote,
-  /// which runs under the exclusive lock with no readers in flight.
+  /// The heap archive; a mapped store parses it from the snapshot's
+  /// archive section on first use. Read hooks run under the SHARED store
+  /// lock, so the load has its own mutex; the pointer stays valid until
+  /// the store is destroyed.
   StatusOr<const core::Archive*> HeapArchive() const {
     std::lock_guard<std::mutex> lock(heap_mu_);
-    if (heap_ == nullptr) {
+    if (archive_ == nullptr) {
       XARCH_ASSIGN_OR_RETURN(std::string xml,
-                             snapshot_.SectionString("archive"));
+                             snapshot_->SectionString("archive"));
       XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec, spec_.Clone());
       XARCH_ASSIGN_OR_RETURN(
           core::Archive archive,
           ArchiveFromSnapshotXml(xml, std::move(spec), options_));
-      heap_ = std::make_unique<core::Archive>(std::move(archive));
+      archive_ = std::make_unique<core::Archive>(std::move(archive));
     }
-    return heap_.get();
+    return archive_.get();
   }
 
-  /// Writes stay heap: the first ingest materializes the archive once and
-  /// swaps in a full ArchiveStore (under the exclusive lock every ingest
-  /// holds). The next SaveToBytes then re-emits fresh XAR2 sections.
-  Status Promote() {
-    if (promoted_ != nullptr) return Status::OK();
-    std::unique_ptr<core::Archive> heap;
-    {
-      std::lock_guard<std::mutex> lock(heap_mu_);
-      heap = std::move(heap_);
-    }
-    if (heap == nullptr) {
-      XARCH_ASSIGN_OR_RETURN(std::string xml,
-                             snapshot_.SectionString("archive"));
-      XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec, spec_.Clone());
-      XARCH_ASSIGN_OR_RETURN(
-          core::Archive archive,
-          ArchiveFromSnapshotXml(xml, std::move(spec), options_));
-      heap = std::make_unique<core::Archive>(std::move(archive));
-    }
-    promoted_ = std::make_unique<ArchiveStore>(name_, std::move(*heap),
-                                               use_index_, snapshot_format_);
+  /// Writes stay heap: the first ingest into a mapped store loads the heap
+  /// archive (once), points reads at it, and releases the snapshot bytes.
+  /// Runs under the exclusive lock every ingest holds, so no reader is in
+  /// flight. The next SaveToBytes encodes fresh XAR2 sections.
+  Status LeaveSnapshot() {
+    if (!snapshot_.has_value()) return Status::OK();
+    XARCH_RETURN_NOT_OK(HeapArchive().status());
+    view_index_.reset();
+    view_ = std::make_unique<core::HeapArchiveView>(archive_.get());
+    flat_.reset();
+    snapshot_.reset();
+    PublishIndex();
     return Status::OK();
   }
 
+  /// The synchronized publish step: (re)builds the heap index from the
+  /// ingest path, under the exclusive lock every ingest already holds —
+  /// readers can never observe the swap, and the read path never mutates.
+  void PublishIndex() {
+    if (!use_index_) return;
+    index_ = std::make_unique<index::ArchiveIndex>(*archive_);
+    view_index_ = std::make_unique<index::HeapViewIndex>(index_.get());
+  }
+
   std::string name_;
-  persist::SnapshotView snapshot_;
-  std::unique_ptr<core::FlatArchive> flat_;   // views into snapshot_ bytes
-  std::unique_ptr<index::FlatViewIndex> flat_index_;  // null when unindexed
-  core::FlatArchiveView view_;                // over *flat_
+  bool use_index_;
+  IngestMetrics ingest_metrics_;
+
+  // Mapped state, until the first ingest: the verified container, the
+  // flat archive attached over its bytes, and what the lazy heap load
+  // needs.
+  std::optional<persist::SnapshotView> snapshot_;
+  std::unique_ptr<core::FlatArchive> flat_;
   keys::KeySpecSet spec_;
   core::ArchiveOptions options_;
-  bool use_index_;
-  int snapshot_format_;
+
+  // Heap state: always set in a heap store, loaded on demand in a mapped
+  // one.
   mutable std::mutex heap_mu_;
-  mutable std::unique_ptr<core::Archive> heap_;
-  std::unique_ptr<Store> promoted_;  // set by the first ingest
+  mutable std::unique_ptr<core::Archive> archive_;
+  std::unique_ptr<index::ArchiveIndex> index_;  // published by ingest
+
+  // What reads navigate: the heap or flat view, and its index (null when
+  // unindexed).
+  std::unique_ptr<core::ArchiveView> view_;
+  std::unique_ptr<index::ViewIndex> view_index_;
 };
 
 // -------------------------------------------------- diff / copy baselines
@@ -1429,26 +1289,15 @@ Status RequireSpec(const StoreOptions& options, const char* backend) {
   return Status::OK();
 }
 
-Status RequireSnapshotFormat(const StoreOptions& options) {
-  if (options.snapshot_format != 1 && options.snapshot_format != 2) {
-    return Status::InvalidArgument(
-        "StoreOptions::snapshot_format must be 1 (XAR1) or 2 (XAR2), got " +
-        std::to_string(options.snapshot_format));
-  }
-  return Status::OK();
-}
-
 StatusOr<std::unique_ptr<Store>> MakeArchiveBackend(StoreOptions options,
                                                     const char* name,
                                                     core::FrontierStrategy
                                                         frontier) {
   XARCH_RETURN_NOT_OK(RequireSpec(options, name));
-  XARCH_RETURN_NOT_OK(RequireSnapshotFormat(options));
   core::ArchiveOptions archive_options = options.archive;
   archive_options.frontier = frontier;
   return std::unique_ptr<Store>(std::make_unique<ArchiveStore>(
-      name, std::move(options.spec), archive_options, options.use_index,
-      options.snapshot_format));
+      name, std::move(options.spec), archive_options, options.use_index));
 }
 
 /// Fills in a fresh private working directory when the caller left the
@@ -1498,9 +1347,13 @@ StatusOr<std::unique_ptr<Store>> RestoreExtmemBackend(
 namespace detail {
 
 void RegisterBuiltinStores(StoreRegistry& registry) {
+  // A failed built-in registration leaves a backend silently missing, in
+  // every build type: fail loudly at startup instead.
   auto must = [](Status status) {
-    (void)status;
-    assert(status.ok());
+    if (status.ok()) return;
+    obs::Logger::Default().Log("store_registration_failed",
+                               {{"status", status.ToString()}});
+    std::abort();
   };
   must(registry.Register({
       "archive",
@@ -1511,19 +1364,13 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
         return MakeArchiveBackend(std::move(options), "archive",
                                   core::FrontierStrategy::kBuckets);
       },
-      [](const persist::SnapshotReader& snapshot, StoreOptions tuning)
-          -> StatusOr<std::unique_ptr<Store>> {
-        XARCH_RETURN_NOT_OK(RequireSnapshotFormat(tuning));
+      [](const persist::SnapshotReader& snapshot, StoreOptions) {
         return ArchiveStore::Restore(snapshot, "archive",
-                                     core::FrontierStrategy::kBuckets,
-                                     tuning.snapshot_format);
+                                     core::FrontierStrategy::kBuckets);
       },
-      [](const persist::SnapshotView& snapshot, StoreOptions tuning)
-          -> StatusOr<std::unique_ptr<Store>> {
-        XARCH_RETURN_NOT_OK(RequireSnapshotFormat(tuning));
-        return MappedArchiveStore::Restore(snapshot, "archive",
-                                           core::FrontierStrategy::kBuckets,
-                                           tuning.snapshot_format);
+      [](const persist::SnapshotView& snapshot, StoreOptions) {
+        return ArchiveStore::Restore(snapshot, "archive",
+                                     core::FrontierStrategy::kBuckets);
       },
   }));
   must(registry.Register({
@@ -1535,19 +1382,13 @@ void RegisterBuiltinStores(StoreRegistry& registry) {
         return MakeArchiveBackend(std::move(options), "archive-weave",
                                   core::FrontierStrategy::kWeave);
       },
-      [](const persist::SnapshotReader& snapshot, StoreOptions tuning)
-          -> StatusOr<std::unique_ptr<Store>> {
-        XARCH_RETURN_NOT_OK(RequireSnapshotFormat(tuning));
+      [](const persist::SnapshotReader& snapshot, StoreOptions) {
         return ArchiveStore::Restore(snapshot, "archive-weave",
-                                     core::FrontierStrategy::kWeave,
-                                     tuning.snapshot_format);
+                                     core::FrontierStrategy::kWeave);
       },
-      [](const persist::SnapshotView& snapshot, StoreOptions tuning)
-          -> StatusOr<std::unique_ptr<Store>> {
-        XARCH_RETURN_NOT_OK(RequireSnapshotFormat(tuning));
-        return MappedArchiveStore::Restore(snapshot, "archive-weave",
-                                           core::FrontierStrategy::kWeave,
-                                           tuning.snapshot_format);
+      [](const persist::SnapshotView& snapshot, StoreOptions) {
+        return ArchiveStore::Restore(snapshot, "archive-weave",
+                                     core::FrontierStrategy::kWeave);
       },
   }));
   must(registry.Register({

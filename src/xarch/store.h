@@ -134,12 +134,10 @@ struct StoreOptions {
   /// backend): the key space is range-partitioned into this many
   /// independent inner stores (xarch/shard.h).
   size_t shards = 4;
-  /// Snapshot container format the archive backends emit from
-  /// SaveToFile/SaveToBytes: 2 (XAR2 — flat mmap-navigable sections, the
-  /// default) or 1 (legacy XAR1). Both formats reopen through the
-  /// registry; saving a store opened from an XAR1 snapshot migrates it to
-  /// XAR2 unless this is set back to 1. Non-archive backends ignore it.
-  int snapshot_format = 2;
+  // Snapshot formats need no option: archive backends always save XAR2
+  // (flat mmap-navigable sections). XAR1 is read-only — an XAR1 snapshot
+  // still opens through the registry and migrates to XAR2 on its next
+  // save; there is no downgrade.
 };
 
 class Store;

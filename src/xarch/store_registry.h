@@ -72,9 +72,10 @@ class StoreRegistry {
     /// Optional: absent means snapshots of this backend cannot be opened
     /// (OpenFromFile fails with kUnimplemented).
     Restorer restorer;
-    /// Optional: opens XAR2 snapshots mapped-read-only. Absent means XAR2
-    /// snapshots naming this backend cannot be opened (the built-in
-    /// archive backends are the only XAR2 writers and both register one).
+    /// Optional: opens XAR2 snapshots over their mapped bytes. Absent
+    /// means XAR2 snapshots naming this backend cannot be opened (the
+    /// built-in archive backends are the only XAR2 writers and both
+    /// register one).
     ViewRestorer view_restorer;
   };
 

@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "core/archive.h"
+#include "core/tree_view.h"
 #include "index/archive_index.h"
+#include "index/view_index.h"
 #include "keys/key_spec.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
@@ -145,6 +147,9 @@ struct BackendParam {
   const char* label;
   const char* backend;
   bool use_index;
+  /// Reopen the store from its XAR2 snapshot after the first version, so
+  /// the first concurrent ingest switches a mapped store to the heap.
+  bool reopen_mapped = false;
 };
 
 std::unique_ptr<Store> MakeEmptyStore(const BackendParam& param) {
@@ -254,6 +259,13 @@ TEST_P(IngestRaceTest, ReadersSeeOnlyFullyIngestedVersions) {
 
   auto store = MakeEmptyStore(param);
   ASSERT_TRUE(store->Append(versions[0]).ok());  // readers always have v1
+  if (param.reopen_mapped) {
+    auto bytes = store->SaveToBytes();
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    auto mapped = StoreRegistry::Global().OpenFromBytes(*bytes);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    store = std::move(mapped).value();
+  }
 
   // Readers run a FIXED number of rounds and yield between them: looping
   // "until the writer finishes" would livelock on reader-preferring
@@ -303,6 +315,7 @@ TEST_P(IngestRaceTest, ReadersSeeOnlyFullyIngestedVersions) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, IngestRaceTest,
     ::testing::Values(BackendParam{"archive_indexed", "archive", true},
+                      BackendParam{"archive_mapped", "archive", true, true},
                       BackendParam{"full_copy", "full-copy", false},
                       BackendParam{"incr_diff", "incr-diff", false},
                       BackendParam{"extmem", "extmem", false}),
@@ -406,6 +419,8 @@ TEST(ParallelRangeTest, ParallelArchiveRangeMatchesSerialExactly) {
     ASSERT_TRUE(archive.AddVersion(**doc).ok());
   }
   index::ArchiveIndex index(archive);
+  const core::HeapArchiveView view(&archive);
+  const index::HeapViewIndex heap_index(&index);
   util::ThreadPool pool(3);
 
   for (const std::string& text :
@@ -414,16 +429,16 @@ TEST(ParallelRangeTest, ParallelArchiveRangeMatchesSerialExactly) {
         std::string("/db @ versions 1..10")}) {
     auto ast = query::Parse(text);
     ASSERT_TRUE(ast.ok()) << text;
-    for (const index::ArchiveIndex* idx :
-         {static_cast<const index::ArchiveIndex*>(nullptr),
-          static_cast<const index::ArchiveIndex*>(&index)}) {
+    for (const index::ViewIndex* idx :
+         {static_cast<const index::ViewIndex*>(nullptr),
+          static_cast<const index::ViewIndex*>(&heap_index)}) {
       query::Plan plan = query::MakePlan(
           *ast, idx != nullptr ? query::Access::kArchiveIndexed
                                : query::Access::kArchiveScan);
 
       StringSink serial_sink;
       query::EvalResult serial_result;
-      ASSERT_TRUE(query::Evaluate(plan, archive, idx, serial_sink,
+      ASSERT_TRUE(query::Evaluate(plan, view, idx, /*diff=*/{}, serial_sink,
                                   &serial_result)
                       .ok())
           << text;
@@ -433,8 +448,8 @@ TEST(ParallelRangeTest, ParallelArchiveRangeMatchesSerialExactly) {
       options.min_parallel_versions = 2;
       StringSink parallel_sink;
       query::EvalResult parallel_result;
-      ASSERT_TRUE(query::Evaluate(plan, archive, idx, parallel_sink,
-                                  &parallel_result, options)
+      ASSERT_TRUE(query::Evaluate(plan, view, idx, /*diff=*/{},
+                                  parallel_sink, &parallel_result, options)
                       .ok())
           << text;
 

@@ -1,10 +1,10 @@
 // XAR2, the mmap-navigable snapshot container (format 2): heap-vs-mapped
 // answer parity across the archive-family backends (Retrieve, Query,
-// History, Diff, EXPLAIN probe counts), ingest promotion of a mapped
-// store, format selection through StoreOptions::snapshot_format, the
-// committed XAR1 compatibility fixtures under tests/data/, and the
-// flip-every-byte / truncate-everywhere corruption sweeps over an XAR2
-// file (kDataLoss, never an out-of-bounds read).
+// History, Diff, EXPLAIN probe counts), reads of a mapped store that never
+// build the heap archive, ingest into a mapped store, the committed XAR1
+// compatibility fixtures under tests/data/ and their migration to XAR2,
+// and the flip-every-byte / truncate-everywhere corruption sweeps over an
+// XAR2 file (kDataLoss, never an out-of-bounds read).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -21,6 +21,7 @@
 #include "vfs/vfs.h"
 #include "xarch/store.h"
 #include "xarch/store_registry.h"
+#include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -39,11 +40,10 @@ keys::KeySpecSet MustSpec() {
   return std::move(spec).value();
 }
 
-StoreOptions OptionsWithSpec(bool use_index = false, int snapshot_format = 2) {
+StoreOptions OptionsWithSpec(bool use_index = false) {
   StoreOptions options;
   options.spec = MustSpec();
   options.use_index = use_index;
-  options.snapshot_format = snapshot_format;
   return options;
 }
 
@@ -80,11 +80,8 @@ std::vector<std::string> FixtureVersions() {
 }
 
 std::unique_ptr<Store> MakeLiveStore(const std::string& backend,
-                                     bool use_index = false,
-                                     int snapshot_format = 2) {
-  auto store =
-      StoreRegistry::Create(backend, OptionsWithSpec(use_index,
-                                                     snapshot_format));
+                                     bool use_index = false) {
+  auto store = StoreRegistry::Create(backend, OptionsWithSpec(use_index));
   EXPECT_TRUE(store.ok()) << backend << ": " << store.status().ToString();
   std::unique_ptr<Store> out = std::move(store).value();
   for (const std::string& text : FixtureVersions()) {
@@ -290,65 +287,79 @@ TEST(Xar2PromotionTest, IngestIntoMappedStoreMaterializesOnce) {
   EXPECT_EQ(*(*again)->Retrieve(5), v5);
 }
 
-// ---------------------------------------------------- format selection
+// ------------------------------------------------- mapped reads stay flat
 
-TEST(Xar2FormatTest, SnapshotFormatSelectsContainerMagicAndMigrates) {
-  // snapshot_format=1 keeps emitting the legacy XAR1 container.
-  std::unique_ptr<Store> v1_store =
-      MakeLiveStore("archive", /*use_index=*/false, /*snapshot_format=*/1);
-  auto v1_bytes = v1_store->SaveToBytes();
-  ASSERT_TRUE(v1_bytes.ok());
-  EXPECT_EQ(v1_bytes->substr(0, 4), "XAR1");
+// Opening an XAR2 file through the mmap VFS and answering Retrieve,
+// History, and lookup / scan / EXPLAIN queries navigates the mapped
+// records only: no xml::Node is created, so the heap archive is never
+// parsed. Diff and stored bytes are the reads that may load it; ingest
+// does, and must then save the same bytes as a heap store that was fed
+// the same versions.
+class Xar2MappedReadTest : public ::testing::TestWithParam<bool> {};
 
-  // An XAR1 snapshot reopens (heap restorer) and, saved with the default
-  // options, migrates to XAR2 — the v1 -> v2 upgrade is one save away.
-  auto reopened = StoreRegistry::Global().OpenFromBytes(*v1_bytes);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  auto migrated = (*reopened)->SaveToBytes();
-  ASSERT_TRUE(migrated.ok());
-  EXPECT_EQ(migrated->substr(0, 4), "XAR2");
-  auto mapped = StoreRegistry::Global().OpenFromBytes(*migrated);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  for (Version v = 1; v <= v1_store->version_count(); ++v) {
-    EXPECT_EQ(*(*mapped)->Retrieve(v), *v1_store->Retrieve(v)) << "v" << v;
+TEST_P(Xar2MappedReadTest, ReadsNeverBuildTheHeapArchive) {
+  const bool use_index = GetParam();
+  std::unique_ptr<Store> live = MakeLiveStore("archive", use_index);
+  ScratchDir dir("mapped");
+  const std::string path = dir.File("store.xar");
+  ASSERT_TRUE(live->SaveToFile(path).ok());
+  auto mapped_or = StoreRegistry::Open(path, {}, vfs::Vfs::Mmap());
+  ASSERT_TRUE(mapped_or.ok()) << mapped_or.status().ToString();
+  Store& mapped = **mapped_or;
+
+  const uint64_t created_before = xml::Node::CreatedCount();
+  for (Version v = 1; v <= mapped.version_count(); ++v) {
+    auto got = mapped.Retrieve(v);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *live->Retrieve(v)) << "v" << v;
   }
+  auto history = mapped.History({{"db", {}}, {"entry", {{"id", "2"}}}});
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  EXPECT_EQ(history->ToString(), "1,3-4");
+  for (const char* q : {
+           "/db/entry[id=\"2\"] @ version 3",
+           "/db @ version 2",
+           "/db/entry[*] @ versions 1..4",
+       }) {
+    auto a = RunQuery(*live, q);
+    auto b = RunQuery(mapped, q);
+    ASSERT_TRUE(a.ok() && b.ok()) << q << ": " << b.status().ToString();
+    EXPECT_EQ(*a, *b) << q;
+  }
+  auto explain = RunQuery(mapped, "explain /db/entry[id=\"3\"] @ version 4");
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("(mapped=true)"), std::string::npos) << *explain;
+  EXPECT_EQ(xml::Node::CreatedCount(), created_before)
+      << "a mapped read built xml::Nodes (heap archive load)";
 
-  // And a mapped store asked to save as format 1 emits XAR1 again.
-  StoreOptions tuning;
-  tuning.snapshot_format = 1;
-  auto mapped_v1 =
-      StoreRegistry::Global().OpenFromBytes(*migrated, std::move(tuning));
-  ASSERT_TRUE(mapped_v1.ok()) << mapped_v1.status().ToString();
-  auto downgraded = (*mapped_v1)->SaveToBytes();
-  ASSERT_TRUE(downgraded.ok());
-  EXPECT_EQ(downgraded->substr(0, 4), "XAR1");
+  // Ingest loads the heap archive once; afterwards the store saves exactly
+  // what a heap store fed the same five versions saves.
+  const std::string v5 =
+      Canonical("<db>" + Entry(2, "beta") + Entry(5, "epsilon") + "</db>");
+  ASSERT_TRUE(mapped.Append(v5).ok());
+  ASSERT_TRUE(live->Append(v5).ok());
+  auto a = live->SaveToBytes();
+  auto b = mapped.SaveToBytes();
+  ASSERT_TRUE(a.ok() && b.ok()) << b.status().ToString();
+  EXPECT_EQ(*a, *b);
+  for (Version v = 1; v <= live->version_count(); ++v) {
+    EXPECT_EQ(*mapped.Retrieve(v), *live->Retrieve(v)) << "v" << v;
+  }
 }
 
-TEST(Xar2FormatTest, InvalidSnapshotFormatIsRejected) {
-  auto bad = StoreRegistry::Create(
-      "archive", OptionsWithSpec(/*use_index=*/false, /*snapshot_format=*/3));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-
-  std::unique_ptr<Store> live = MakeLiveStore("archive");
-  auto bytes = live->SaveToBytes();
-  ASSERT_TRUE(bytes.ok());
-  StoreOptions tuning;
-  tuning.snapshot_format = 0;
-  auto opened =
-      StoreRegistry::Global().OpenFromBytes(*bytes, std::move(tuning));
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
-}
+INSTANTIATE_TEST_SUITE_P(IndexedAndNot, Xar2MappedReadTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return std::string(info.param ? "indexed"
+                                                          : "noindex");
+                         });
 
 // --------------------------------------------- XAR1 fixtures (tests/data)
 
 // Committed XAR1 snapshot files, written by an earlier build whose
-// archive backends still defaulted to format 1. The registry must keep
+// archive backends could still save format 1. The registry must keep
 // opening them, and every read must match a live heap store built from
-// the same version texts — byte for byte. Regenerate (only if the wire
-// texts in FixtureVersions() ever have to change) with
-// tests/data/make_xar1_fixtures.cc.
+// the same version texts — byte for byte. XAR1 is read-only now: the
+// files are frozen bytes that cannot be regenerated (tests/data/README.md).
 class Xar1FixtureTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(Xar1FixtureTest, CommittedSnapshotStillOpensByteIdentically) {
@@ -387,6 +398,39 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// An XAR1 snapshot reopens through the heap restorer and its next save is
+// XAR2 — the v1 -> v2 upgrade is one save away, with no way back. The
+// migrated file reopens mapped and answers like the XAR1 original.
+TEST(Xar1MigrationTest, CommittedXar1SnapshotSavesAsXar2) {
+  const std::string path =
+      std::string(XARCH_TEST_DATA_DIR) + "/xar1_archive.xar";
+  ASSERT_EQ(ReadAll(path).substr(0, 4), "XAR1") << path;
+  auto xar1 = StoreRegistry::Open(path);
+  ASSERT_TRUE(xar1.ok()) << xar1.status().ToString();
+
+  ScratchDir dir("migrate");
+  const std::string migrated_path = dir.File("migrated.xar");
+  ASSERT_TRUE((*xar1)->SaveToFile(migrated_path).ok());
+  EXPECT_EQ(ReadAll(migrated_path).substr(0, 4), "XAR2");
+  auto xar2 = StoreRegistry::Open(migrated_path, {}, vfs::Vfs::Mmap());
+  ASSERT_TRUE(xar2.ok()) << xar2.status().ToString();
+
+  ASSERT_EQ((*xar2)->version_count(), (*xar1)->version_count());
+  for (Version v = 1; v <= (*xar1)->version_count(); ++v) {
+    EXPECT_EQ(*(*xar2)->Retrieve(v), *(*xar1)->Retrieve(v)) << "v" << v;
+  }
+  for (const char* q : {
+           "/db/entry[*] @ versions 1..4",
+           "/db/entry[id=\"2\"] history",
+           "/db diff 1 4",
+       }) {
+    auto a = RunQuery(**xar1, q);
+    auto b = RunQuery(**xar2, q);
+    ASSERT_TRUE(a.ok() && b.ok()) << q << ": " << b.status().ToString();
+    EXPECT_EQ(*a, *b) << q;
+  }
+}
 
 // -------------------------------------------------- corruption sweeps
 
