@@ -4,10 +4,9 @@
 
 namespace xarch::core {
 
-size_t ArchiveNode::CountNodes() const {
-  size_t n = 1;
-  for (const auto& c : children) n += c->CountNodes();
-  return n;
+size_t Archive::CountNodes() const {
+  const HeapArchiveView view(this);
+  return view.CountNodes(view.Root());
 }
 
 Archive::Archive(keys::KeySpecSet spec, ArchiveOptions options)

@@ -79,9 +79,6 @@ class ArchiveNode {
   const VersionSet& EffectiveStamp(const VersionSet& parent_effective) const {
     return stamp.has_value() ? *stamp : parent_effective;
   }
-
-  /// Total archive nodes in this subtree (labels, not XML nodes).
-  size_t CountNodes() const;
 };
 
 /// One step of a temporal-history query (Sec. 7.2): a tag plus the key
@@ -172,7 +169,7 @@ class Archive {
   const ArchiveOptions& options() const { return options_; }
 
   /// Total archive nodes (cheap size proxy; ToXml().size() is the byte one).
-  size_t CountNodes() const { return root_->CountNodes(); }
+  size_t CountNodes() const;
 
   /// Full traversals of the archive performed by merging so far: one per
   /// AddVersion call, one per AddVersions *batch*. A counter hook for

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/archive.h"
+#include "core/tree_view.h"
 
 namespace xarch::core {
 
@@ -31,7 +32,12 @@ struct Change {
 /// Describes the difference between two archived versions as key-based
 /// changes, grouped by element (not by line). Reported paths are the
 /// outermost changed elements: an inserted subtree is one insertion, not
-/// one per descendant.
+/// one per descendant. The walk runs over any ArchiveView, so heap and
+/// mapped XAR2 archives answer through the same code.
+StatusOr<std::vector<Change>> DescribeChanges(const ArchiveView& view,
+                                              Version from, Version to);
+
+/// The same over a heap archive (through HeapArchiveView).
 StatusOr<std::vector<Change>> DescribeChanges(const Archive& archive,
                                               Version from, Version to);
 

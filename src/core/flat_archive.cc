@@ -390,6 +390,10 @@ bool FlatArchiveView::BucketStampContains(NodeId n, size_t b,
   return a_->StampContains(a_->BucketStampIdPlus1(GlobalBucket(n, b)) - 1, v);
 }
 
+VersionSet FlatArchiveView::BucketStampValue(NodeId n, size_t b) const {
+  return a_->StampAt(a_->BucketStampIdPlus1(GlobalBucket(n, b)) - 1);
+}
+
 size_t FlatArchiveView::BucketContentCount(NodeId n, size_t b) const {
   return a_->BucketContentCount(GlobalBucket(n, b));
 }

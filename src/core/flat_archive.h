@@ -154,6 +154,7 @@ class FlatArchiveView : public ArchiveView {
   size_t BucketCount(NodeId n) const override;
   bool BucketHasStamp(NodeId n, size_t b) const override;
   bool BucketStampContains(NodeId n, size_t b, Version v) const override;
+  VersionSet BucketStampValue(NodeId n, size_t b) const override;
   size_t BucketContentCount(NodeId n, size_t b) const override;
   bool BucketContentIsText(NodeId n, size_t b, size_t i) const override;
   std::string_view BucketContentText(NodeId n, size_t b,

@@ -2,6 +2,7 @@
 #include <string>
 
 #include "core/archive.h"
+#include "core/tree_view.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -27,50 +28,193 @@ std::string StampToString(const VersionSet& stamp, bool interval_encoding) {
   return out;
 }
 
-xml::NodePtr WrapInT(xml::NodePtr inner, const VersionSet& stamp,
-                     const ArchiveSerializeOptions& options) {
-  xml::NodePtr t = xml::Node::Element(kTimestampTag);
-  t->SetAttr("t", StampToString(stamp, options.interval_encoding));
-  t->AddChild(std::move(inner));
-  return t;
-}
+/// Streams the Fig. 5 document off an ArchiveView: byte for byte what
+/// xml::Serialize emits for the tree of <T> wrappers and archive elements
+/// the document describes, without building that tree.
+class ArchiveXmlWriter {
+ public:
+  ArchiveXmlWriter(const ArchiveView& view,
+                   const ArchiveSerializeOptions& options,
+                   const XmlChunkFn& emit)
+      : view_(view),
+        options_(options),
+        content_options_{options.pretty, options.indent_width},
+        emit_(emit) {}
 
-xml::NodePtr BuildXml(const ArchiveNode& node, const VersionSet& effective,
-                      const ArchiveSerializeOptions& options) {
-  xml::NodePtr elem = xml::Node::Element(node.label.tag);
-  for (const auto& [name, value] : node.attrs) elem->SetAttr(name, value);
-  if (node.is_frontier) {
-    for (const auto& bucket : node.buckets) {
-      if (bucket.stamp.has_value()) {
-        xml::Node* t = elem->AddElement(kTimestampTag);
-        t->SetAttr("t", StampToString(*bucket.stamp, options.interval_encoding));
-        for (const auto& n : bucket.content) t->AddChild(n->Clone());
-      } else {
-        for (const auto& n : bucket.content) elem->AddChild(n->Clone());
-      }
-    }
-  } else {
-    for (const auto& child : node.children) {
-      const VersionSet& child_eff = child->EffectiveStamp(effective);
-      xml::NodePtr child_xml = BuildXml(*child, child_eff, options);
-      if (child->stamp.has_value() || !options.inherit_timestamps) {
-        child_xml = WrapInT(std::move(child_xml), child_eff, options);
-      }
-      elem->AddChild(std::move(child_xml));
+  void Write() {
+    const ArchiveView::NodeId root = view_.Root();
+    WriteWrapped(root, StampText(view_.StampValue(root)), 0);
+    emit_(buffer_);
+  }
+
+ private:
+  static constexpr size_t kFlushThreshold = 64 * 1024;
+
+  std::string StampText(const VersionSet& stamp) const {
+    return StampToString(stamp, options_.interval_encoding);
+  }
+
+  void Indent(int depth) {
+    if (options_.pretty) {
+      buffer_.append(static_cast<size_t>(depth) *
+                         static_cast<size_t>(options_.indent_width),
+                     ' ');
     }
   }
-  return elem;
-}
+
+  void Newline() {
+    if (options_.pretty) buffer_ += '\n';
+  }
+
+  /// `<T t="..."`; stamp text (digits, ',' and '-') needs no escaping.
+  void OpenT(std::string_view stamp, int depth) {
+    Indent(depth);
+    buffer_ += "<T t=\"";
+    buffer_ += stamp;
+    buffer_ += '"';
+  }
+
+  /// Ends a start tag: "/>" for an element without children (returns
+  /// false), else '>'. Text-only content stays on the tag's line, as
+  /// xml::Serialize keeps it (without pretty printing the two layouts
+  /// are the same bytes).
+  bool OpenBody(bool empty, bool inline_text) {
+    if (empty) {
+      buffer_ += "/>";
+      Newline();
+      return false;
+    }
+    buffer_ += '>';
+    if (!inline_text) Newline();
+    return true;
+  }
+
+  void CloseBody(std::string_view tag, int depth, bool inline_text) {
+    if (!inline_text) Indent(depth);
+    buffer_ += "</";
+    buffer_ += tag;
+    buffer_ += '>';
+    Newline();
+  }
+
+  /// An archive node's element inside a <T> carrying `stamp`.
+  void WriteWrapped(ArchiveView::NodeId node, const std::string& stamp,
+                    int depth) {
+    OpenT(stamp, depth);
+    OpenBody(false, false);
+    WriteNode(node, stamp, depth + 1);
+    CloseBody(kTimestampTag, depth, false);
+  }
+
+  /// An archive node's element; `effective` is its timestamp in effect,
+  /// rendered (what wraps an unstamped child when inheritance is off).
+  void WriteNode(ArchiveView::NodeId node, const std::string& effective,
+                 int depth) {
+    Indent(depth);
+    buffer_ += '<';
+    buffer_ += view_.Tag(node);
+    for (size_t i = 0; i < view_.AttrCount(node); ++i) {
+      const auto [name, value] = view_.Attr(node, i);
+      buffer_ += ' ';
+      buffer_ += name;
+      buffer_ += "=\"";
+      buffer_ += xml::EscapeAttr(value);
+      buffer_ += '"';
+    }
+    if (view_.IsFrontier(node)) {
+      WriteFrontier(node, depth);
+    } else {
+      WriteInner(node, effective, depth);
+    }
+    if (buffer_.size() >= kFlushThreshold) {
+      emit_(buffer_);
+      buffer_.clear();
+    }
+  }
+
+  void WriteInner(ArchiveView::NodeId node, const std::string& effective,
+                  int depth) {
+    const size_t child_count = view_.ChildCount(node);
+    if (!OpenBody(child_count == 0, false)) return;
+    for (size_t i = 0; i < child_count; ++i) {
+      const ArchiveView::NodeId child = view_.Child(node, i);
+      if (view_.HasStamp(child)) {
+        WriteWrapped(child, StampText(view_.StampValue(child)), depth + 1);
+      } else if (options_.inherit_timestamps) {
+        WriteNode(child, effective, depth + 1);
+      } else {
+        WriteWrapped(child, effective, depth + 1);
+      }
+    }
+    CloseBody(view_.Tag(node), depth, false);
+  }
+
+  /// A stamped bucket is one <T> child holding its content; an unstamped
+  /// bucket's content sits directly in the element.
+  void WriteFrontier(ArchiveView::NodeId node, int depth) {
+    const size_t bucket_count = view_.BucketCount(node);
+    bool empty = true, text_only = true;
+    for (size_t b = 0; b < bucket_count; ++b) {
+      const bool stamped = view_.BucketHasStamp(node, b);
+      empty = empty && !stamped && view_.BucketContentCount(node, b) == 0;
+      text_only = text_only && !stamped && AllText(node, b);
+    }
+    if (!OpenBody(empty, text_only)) return;
+    for (size_t b = 0; b < bucket_count; ++b) {
+      if (!view_.BucketHasStamp(node, b)) {
+        WriteContent(node, b, depth + 1, text_only);
+        continue;
+      }
+      OpenT(StampText(view_.BucketStampValue(node, b)), depth + 1);
+      const bool inline_text = AllText(node, b);
+      if (!OpenBody(view_.BucketContentCount(node, b) == 0, inline_text)) {
+        continue;
+      }
+      WriteContent(node, b, depth + 2, inline_text);
+      CloseBody(kTimestampTag, depth + 1, inline_text);
+    }
+    CloseBody(view_.Tag(node), depth, text_only);
+  }
+
+  bool AllText(ArchiveView::NodeId node, size_t b) const {
+    for (size_t i = 0; i < view_.BucketContentCount(node, b); ++i) {
+      if (!view_.BucketContentIsText(node, b, i)) return false;
+    }
+    return true;
+  }
+
+  void WriteContent(ArchiveView::NodeId node, size_t b, int depth,
+                    bool inline_text) {
+    for (size_t i = 0; i < view_.BucketContentCount(node, b); ++i) {
+      if (inline_text) {
+        buffer_ += xml::EscapeText(view_.BucketContentText(node, b, i));
+      } else {
+        view_.AppendBucketContent(node, b, i, content_options_, depth,
+                                  &buffer_);
+      }
+    }
+  }
+
+  const ArchiveView& view_;
+  const ArchiveSerializeOptions& options_;
+  const xml::SerializeOptions content_options_;
+  const XmlChunkFn& emit_;
+  std::string buffer_;
+};
 
 }  // namespace
 
+void WriteArchiveXml(const ArchiveView& view,
+                     const ArchiveSerializeOptions& options,
+                     const XmlChunkFn& emit) {
+  ArchiveXmlWriter(view, options, emit).Write();
+}
+
 std::string Archive::ToXml(const ArchiveSerializeOptions& options) const {
-  xml::NodePtr root_elem = BuildXml(*root_, *root_->stamp, options);
-  xml::NodePtr top = WrapInT(std::move(root_elem), *root_->stamp, options);
-  xml::SerializeOptions ser;
-  ser.pretty = options.pretty;
-  ser.indent_width = options.indent_width;
-  return xml::Serialize(*top, ser);
+  std::string out;
+  WriteArchiveXml(HeapArchiveView(this), options,
+                  [&out](std::string_view chunk) { out.append(chunk); });
+  return out;
 }
 
 namespace {

@@ -2,6 +2,13 @@
 
 namespace xarch::core {
 
+size_t ArchiveView::CountNodes(NodeId n) const {
+  size_t count = 1;
+  const size_t child_count = ChildCount(n);
+  for (size_t i = 0; i < child_count; ++i) count += CountNodes(Child(n, i));
+  return count;
+}
+
 ArchiveView::NodeId FindChildByKeyStep(const ArchiveView& view,
                                        ArchiveView::NodeId parent,
                                        const KeyStep& step) {

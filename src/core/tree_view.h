@@ -2,6 +2,7 @@
 #define XARCH_CORE_TREE_VIEW_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -73,6 +74,8 @@ class ArchiveView {
   virtual bool BucketHasStamp(NodeId n, size_t b) const = 0;
   /// Requires BucketHasStamp(n, b).
   virtual bool BucketStampContains(NodeId n, size_t b, Version v) const = 0;
+  /// Requires BucketHasStamp(n, b). Materializes the bucket's timestamp.
+  virtual VersionSet BucketStampValue(NodeId n, size_t b) const = 0;
   virtual size_t BucketContentCount(NodeId n, size_t b) const = 0;
   virtual bool BucketContentIsText(NodeId n, size_t b, size_t i) const = 0;
   /// Character data of a text content node.
@@ -89,6 +92,9 @@ class ArchiveView {
   VersionSet EffectiveStamp(NodeId n, const VersionSet& parent_effective) const {
     return HasStamp(n) ? StampValue(n) : parent_effective;
   }
+
+  /// Archive nodes in the subtree rooted at n (labels, not XML nodes).
+  size_t CountNodes(NodeId n) const;
 
   /// True when bucket b contributes content at version v.
   bool BucketActiveAt(NodeId n, size_t b, Version v) const {
@@ -156,6 +162,9 @@ class HeapArchiveView : public ArchiveView {
   bool BucketStampContains(NodeId n, size_t b, Version v) const override {
     return Node(n).buckets[b].stamp->Contains(v);
   }
+  VersionSet BucketStampValue(NodeId n, size_t b) const override {
+    return *Node(n).buckets[b].stamp;
+  }
   size_t BucketContentCount(NodeId n, size_t b) const override {
     return Node(n).buckets[b].content.size();
   }
@@ -175,6 +184,17 @@ class HeapArchiveView : public ArchiveView {
  private:
   const Archive* archive_;
 };
+
+/// Consumes the next chunk of a streamed serialization.
+using XmlChunkFn = std::function<void(std::string_view chunk)>;
+
+/// Streams the archive behind `view` into `emit` as the XML document of
+/// Fig. 5, chunk by chunk, without building xml::Nodes. Archive::ToXml is
+/// this over a HeapArchiveView; over a FlatArchiveView it gives the same
+/// bytes for the same archive.
+void WriteArchiveXml(const ArchiveView& view,
+                     const ArchiveSerializeOptions& options,
+                     const XmlChunkFn& emit);
 
 /// Resolves a KeyStep against the children of `parent`: finds the child
 /// whose label matches tag and key values (plain text values match

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/changes.h"
@@ -71,13 +70,6 @@ struct EvalOptions {
   obs::Trace::SpanId trace_parent = obs::Trace::kNoSpan;
 };
 
-/// Change-list provider for `@ diff` on archive evaluations: the store
-/// binds core::DescribeChanges over its heap archive (loaded on demand when
-/// the store is mapped). Empty = diff unsupported.
-using ArchiveDiffFn =
-    std::function<StatusOr<std::vector<core::Change>>(Version from,
-                                                      Version to)>;
-
 /// \brief Streaming evaluation over the merged hierarchy (the archive
 /// plans): walks the archive view once, serializing straight into `sink`
 /// — no intermediate xml::Node tree is materialized. The view is heap
@@ -85,13 +77,12 @@ using ArchiveDiffFn =
 /// (core::FlatArchiveView); both produce identical bytes and probe counts.
 /// With `index` non-null keyed steps use the sorted-key binary search and
 /// snapshots are pruned by the timestamp trees; otherwise every step is a
-/// full child scan. The archive (and index) must not be mutated during the
-/// call — the Store layer guarantees that by holding the store's reader
-/// lock.
+/// full child scan. `@ diff` runs core::DescribeChanges over the same
+/// view. The archive (and index) must not be mutated during the call —
+/// the Store layer guarantees that by holding the store's reader lock.
 Status Evaluate(const Plan& plan, const core::ArchiveView& view,
-                const index::ViewIndex* index, const ArchiveDiffFn& diff,
-                Sink& sink, EvalResult* result,
-                const EvalOptions& options = {});
+                const index::ViewIndex* index, Sink& sink,
+                EvalResult* result, const EvalOptions& options = {});
 
 /// \brief Interface-level evaluation through Store primitives (the
 /// kGeneric plan): snapshots via Retrieve() + parse + navigate, history

@@ -14,8 +14,7 @@ namespace xarch::query {
 /// EXPLAIN over the archive plans; the report's access line carries
 /// `mapped=true` when the view navigates mapped bytes.
 Status Explain(const Plan& plan, const core::ArchiveView& view,
-               const index::ViewIndex* index, const ArchiveDiffFn& diff,
-               Sink& sink, EvalResult* result,
+               const index::ViewIndex* index, Sink& sink, EvalResult* result,
                const EvalOptions& options = {});
 
 /// EXPLAIN over the generic store plan.

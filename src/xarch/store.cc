@@ -7,7 +7,6 @@
 #include <cassert>
 #include <cstdlib>
 #include <filesystem>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -358,18 +357,30 @@ Status DecodeArchiveOptions(persist::Cursor& cursor,
   return Status::OK();
 }
 
-/// Compact serialization used for archive snapshot sections (whitespace
-/// would only cost container bytes; the LZSS pass runs either way).
-std::string ArchiveXmlCompact(const core::Archive& archive) {
+/// The Fig. 5 XML of the archive behind `view`, as one string.
+std::string ArchiveXml(const core::ArchiveView& view,
+                       const core::ArchiveSerializeOptions& options) {
+  std::string out;
+  core::WriteArchiveXml(view, options, [&out](std::string_view chunk) {
+    out.append(chunk);
+  });
+  return out;
+}
+
+/// Compact Fig. 5 serialization (whitespace would only cost bytes): what
+/// checkpoint segments store and what a mapped store's heap rebuild
+/// parses.
+std::string ArchiveXmlCompact(const core::ArchiveView& view) {
   core::ArchiveSerializeOptions options;
   options.pretty = false;
   options.indent_width = 0;
-  return archive.ToXml(options);
+  return ArchiveXml(view, options);
 }
 
-/// Loads one archive snapshot section, running the full structural Check
-/// so a snapshot that passed its CRCs but violates archive invariants is
-/// still rejected at open time.
+/// Loads an archive from its Fig. 5 XML (an XAR1 archive section, or the
+/// compact serialization of a mapped store's flat view), running the full
+/// structural Check so an archive that passed its CRCs but violates
+/// archive invariants is still rejected.
 StatusOr<core::Archive> ArchiveFromSnapshotXml(std::string_view xml,
                                                keys::KeySpecSet spec,
                                                core::ArchiveOptions options) {
@@ -444,9 +455,11 @@ Status DecodeArchiveOpts(std::string_view opts, const char* name,
 ///   - mapped: a verified XAR2 snapshot whose flat sections (FlatArchive,
 ///     FlatViewIndex) are navigated in place — open is O(mmap + checksum
 ///     verify) and no heap archive node is built.
-/// A mapped store loads the heap archive lazily, only for what needs it
-/// (diff walks, stored-bytes serialization), and its first ingest turns it
-/// into a heap store for good, releasing the snapshot bytes.
+/// Every read, diff walks and stored-byte counts included, runs over the
+/// view, so a mapped store builds no heap archive until it is written to:
+/// its first ingest rebuilds the heap archive from the flat view (through
+/// the Fig. 5 XML loader and Archive::Check) and turns it into a heap store
+/// for good, releasing the snapshot bytes.
 class ArchiveStore final : public Store {
  public:
   /// A fresh, empty heap store.
@@ -618,15 +631,15 @@ class ArchiveStore final : public Store {
 
   StatusOr<std::vector<core::Change>> DiffVersionsImpl(Version from,
                                                        Version to) override {
-    XARCH_ASSIGN_OR_RETURN(const core::Archive* heap, HeapArchive());
-    return core::DescribeChanges(*heap, from, to);
+    return core::DescribeChanges(*view_, from, to);
   }
 
   Status QueryImpl(std::string_view query_text, Sink& sink,
                    obs::Trace* trace) override {
-    // Diff queries run the change walk and never touch the index. The
-    // index itself was published by the last ingest (or attached at
-    // open), under the writer lock — the read path only dereferences it.
+    // Diff queries run the change walk over the view and never touch the
+    // index. The index itself was published by the last ingest (or
+    // attached at open), under the writer lock — the read path only
+    // dereferences it.
     const index::ViewIndex* index = nullptr;
     obs::Trace analyze_trace;
     XARCH_ASSIGN_OR_RETURN(
@@ -643,17 +656,14 @@ class ArchiveStore final : public Store {
                            }));
     assert(index_ == nullptr ||
            index_->built_at_generation() == archive_->ingest_generation());
-    query::ArchiveDiffFn diff =
-        [this](Version from, Version to) { return DiffVersionsImpl(from, to); };
     query::EvalOptions eval_options;
     eval_options.pool = &util::ThreadPool::Shared();
     eval_options.trace = trace;
     query::EvalResult result;
     Status status =
         plan.ast.explain
-            ? query::Explain(plan, *view_, index, diff, sink, &result,
-                             eval_options)
-            : query::Evaluate(plan, *view_, index, diff, sink, &result,
+            ? query::Explain(plan, *view_, index, sink, &result, eval_options)
+            : query::Evaluate(plan, *view_, index, sink, &result,
                               eval_options);
     CountQuery(result);
     return status;
@@ -664,30 +674,22 @@ class ArchiveStore final : public Store {
   StoreStats BackendStats() const override {
     StoreStats stats;
     stats.versions = view_->version_count();
-    stats.stored_bytes = StoredBytesImpl().size();
-    auto heap = HeapArchive();
-    if (heap.ok()) {
-      stats.node_count = (*heap)->CountNodes();
-      stats.merge_passes = (*heap)->merge_pass_count();
-    }
+    core::WriteArchiveXml(*view_, StoredBytesOptions(),
+                          [&stats](std::string_view chunk) {
+                            stats.stored_bytes += chunk.size();
+                          });
+    stats.node_count = view_->CountNodes(view_->Root());
+    if (archive_ != nullptr) stats.merge_passes = archive_->merge_pass_count();
     return stats;
   }
 
   std::string StoredBytesImpl() const override {
-    auto heap = HeapArchive();
-    if (!heap.ok()) return std::string();
-    // Indentation-free form: the archive nests two levels deeper than a
-    // version, so indentation would bias size comparisons against it.
-    core::ArchiveSerializeOptions options;
-    options.indent_width = 0;
-    return (*heap)->ToXml(options);
+    return ArchiveXml(*view_, StoredBytesOptions());
   }
 
-  /// XAR2: the metadata and flat sections are stored raw so a mapped
-  /// reader navigates them in place; only the archive XML (kept for the
-  /// heap load behind diffs, stored bytes and ingest) is worth compressing.
-  /// Only heap stores get here: SnapshotBytesImpl returns an unmodified
-  /// mapped store's container verbatim.
+  /// XAR2: every section is stored raw so a mapped reader navigates it in
+  /// place. Only heap stores get here: SnapshotBytesImpl returns an
+  /// unmodified mapped store's container verbatim.
   Status SnapshotImpl(persist::SnapshotWriter& writer) const override {
     const core::Archive& archive = *archive_;
     std::string opts;
@@ -696,7 +698,6 @@ class ArchiveStore final : public Store {
     writer.AddRaw("backend", name_);
     writer.AddRaw("spec", SpecToText(archive.spec()));
     writer.AddRaw("opts", std::move(opts));
-    writer.Add("archive", ArchiveXmlCompact(archive));
     core::FlatArchiveEncoder encoder(archive);
     encoder.EncodeStructure();
     std::string index_pages;
@@ -728,31 +729,27 @@ class ArchiveStore final : public Store {
   }
 
  private:
-  /// The heap archive; a mapped store parses it from the snapshot's
-  /// archive section on first use. Read hooks run under the SHARED store
-  /// lock, so the load has its own mutex; the pointer stays valid until
-  /// the store is destroyed.
-  StatusOr<const core::Archive*> HeapArchive() const {
-    std::lock_guard<std::mutex> lock(heap_mu_);
-    if (archive_ == nullptr) {
-      XARCH_ASSIGN_OR_RETURN(std::string xml,
-                             snapshot_->SectionString("archive"));
-      XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec, spec_.Clone());
-      XARCH_ASSIGN_OR_RETURN(
-          core::Archive archive,
-          ArchiveFromSnapshotXml(xml, std::move(spec), options_));
-      archive_ = std::make_unique<core::Archive>(std::move(archive));
-    }
-    return archive_.get();
+  /// Indentation-free form: the archive nests two levels deeper than a
+  /// version, so indentation would bias size comparisons against it.
+  static core::ArchiveSerializeOptions StoredBytesOptions() {
+    core::ArchiveSerializeOptions options;
+    options.indent_width = 0;
+    return options;
   }
 
-  /// Writes stay heap: the first ingest into a mapped store loads the heap
-  /// archive (once), points reads at it, and releases the snapshot bytes.
-  /// Runs under the exclusive lock every ingest holds, so no reader is in
+  /// Writes stay heap: the first ingest into a mapped store rebuilds the
+  /// heap archive from the flat view's compact XML (FromXml, then Check),
+  /// points reads at it, and releases the snapshot bytes. A flat archive
+  /// that fails the rebuild leaves the store mapped and unchanged. Runs
+  /// under the exclusive lock every ingest holds, so no reader is in
   /// flight. The next SaveToBytes encodes fresh XAR2 sections.
   Status LeaveSnapshot() {
     if (!snapshot_.has_value()) return Status::OK();
-    XARCH_RETURN_NOT_OK(HeapArchive().status());
+    XARCH_ASSIGN_OR_RETURN(keys::KeySpecSet spec, spec_.Clone());
+    XARCH_ASSIGN_OR_RETURN(core::Archive archive,
+                           ArchiveFromSnapshotXml(ArchiveXmlCompact(*view_),
+                                                  std::move(spec), options_));
+    archive_ = std::make_unique<core::Archive>(std::move(archive));
     view_index_.reset();
     view_ = std::make_unique<core::HeapArchiveView>(archive_.get());
     flat_.reset();
@@ -775,17 +772,15 @@ class ArchiveStore final : public Store {
   IngestMetrics ingest_metrics_;
 
   // Mapped state, until the first ingest: the verified container, the
-  // flat archive attached over its bytes, and what the lazy heap load
+  // flat archive attached over its bytes, and what the heap rebuild
   // needs.
   std::optional<persist::SnapshotView> snapshot_;
   std::unique_ptr<core::FlatArchive> flat_;
   keys::KeySpecSet spec_;
   core::ArchiveOptions options_;
 
-  // Heap state: always set in a heap store, loaded on demand in a mapped
-  // one.
-  mutable std::mutex heap_mu_;
-  mutable std::unique_ptr<core::Archive> archive_;
+  // Heap state: set in a heap store, null in a mapped one.
+  std::unique_ptr<core::Archive> archive_;
   std::unique_ptr<index::ArchiveIndex> index_;  // published by ingest
 
   // What reads navigate: the heap or flat view, and its index (null when
@@ -1158,7 +1153,8 @@ class CheckpointArchiveStore final : public Store {
     writer.Add("opts", std::move(opts));
     for (size_t i = 0; i < archive_.segments().size(); ++i) {
       writer.Add("seg" + std::to_string(i),
-                 ArchiveXmlCompact(archive_.segments()[i]));
+                 ArchiveXmlCompact(
+                     core::HeapArchiveView(&archive_.segments()[i])));
     }
     return Status::OK();
   }

@@ -438,9 +438,8 @@ TEST(ParallelRangeTest, ParallelArchiveRangeMatchesSerialExactly) {
 
       StringSink serial_sink;
       query::EvalResult serial_result;
-      ASSERT_TRUE(query::Evaluate(plan, view, idx, /*diff=*/{}, serial_sink,
-                                  &serial_result)
-                      .ok())
+      ASSERT_TRUE(
+          query::Evaluate(plan, view, idx, serial_sink, &serial_result).ok())
           << text;
 
       query::EvalOptions options;
@@ -448,8 +447,8 @@ TEST(ParallelRangeTest, ParallelArchiveRangeMatchesSerialExactly) {
       options.min_parallel_versions = 2;
       StringSink parallel_sink;
       query::EvalResult parallel_result;
-      ASSERT_TRUE(query::Evaluate(plan, view, idx, /*diff=*/{},
-                                  parallel_sink, &parallel_result, options)
+      ASSERT_TRUE(query::Evaluate(plan, view, idx, parallel_sink,
+                                  &parallel_result, options)
                       .ok())
           << text;
 

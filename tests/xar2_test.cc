@@ -1,10 +1,13 @@
 // XAR2, the mmap-navigable snapshot container (format 2): heap-vs-mapped
 // answer parity across the archive-family backends (Retrieve, Query,
-// History, Diff, EXPLAIN probe counts), reads of a mapped store that never
-// build the heap archive, ingest into a mapped store, the committed XAR1
-// compatibility fixtures under tests/data/ and their migration to XAR2,
-// and the flip-every-byte / truncate-everywhere corruption sweeps over an
-// XAR2 file (kDataLoss, never an out-of-bounds read).
+// History, Diff, EXPLAIN probe counts, the Fig. 5 XML written over the
+// flat view), reads of a mapped store that never build the heap archive,
+// ingest into a mapped store (an earlier build's XAR2 with its XML
+// `archive` section included), the committed XAR1 compatibility fixtures
+// under tests/data/ and their migration to XAR2, and the corrupt-input
+// cases: flip-every-byte / truncate-everywhere sweeps over an XAR2 file
+// (kDataLoss, never an out-of-bounds read) and CRC-valid flat sections
+// that break an archive invariant (the first ingest fails with a Status).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -12,11 +15,15 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/archive.h"
+#include "core/changes.h"
+#include "core/flat_archive.h"
+#include "core/tree_view.h"
 #include "persist/container.h"
 #include "vfs/vfs.h"
 #include "xarch/store.h"
@@ -88,6 +95,56 @@ std::unique_ptr<Store> MakeLiveStore(const std::string& backend,
     EXPECT_TRUE(out->Append(text).ok()) << backend;
   }
   return out;
+}
+
+/// A heap archive fed the fixture versions, configured as `backend`
+/// configures its own.
+core::Archive LiveArchive(const std::string& backend) {
+  core::ArchiveOptions options;
+  if (backend == "archive-weave") {
+    options.frontier = core::FrontierStrategy::kWeave;
+  }
+  core::Archive archive(MustSpec(), options);
+  for (const std::string& text : FixtureVersions()) {
+    auto doc = xml::Parse(text);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    EXPECT_TRUE(archive.AddVersion(**doc).ok()) << backend;
+  }
+  return archive;
+}
+
+/// The flat archive of a verified XAR2 container, attached in place.
+StatusOr<core::FlatArchive> AttachFlat(const persist::SnapshotView& snapshot) {
+  core::FlatArchive::Sections sections;
+  XARCH_ASSIGN_OR_RETURN(sections.meta, snapshot.RawSection("meta"));
+  XARCH_ASSIGN_OR_RETURN(sections.strings, snapshot.RawSection("strings"));
+  XARCH_ASSIGN_OR_RETURN(sections.stamps, snapshot.RawSection("stamps"));
+  XARCH_ASSIGN_OR_RETURN(sections.nodes, snapshot.RawSection("nodes"));
+  XARCH_ASSIGN_OR_RETURN(sections.parts, snapshot.RawSection("parts"));
+  XARCH_ASSIGN_OR_RETURN(sections.attrs, snapshot.RawSection("attrs"));
+  XARCH_ASSIGN_OR_RETURN(sections.buckets, snapshot.RawSection("buckets"));
+  XARCH_ASSIGN_OR_RETURN(sections.content, snapshot.RawSection("content"));
+  return core::FlatArchive::Attach(sections);
+}
+
+/// Re-emits an XAR2 container section by section, in file order and raw
+/// as current builds store them. `edit` sees each section first: it may
+/// rewrite the payload and add sections of its own ahead of it.
+std::string RewriteXar2(
+    const persist::SnapshotView& snapshot,
+    const std::function<void(const std::string& name, std::string* payload,
+                             persist::SnapshotWriter* writer)>& edit) {
+  persist::SnapshotWriter::Options options;
+  options.format = persist::kContainerFormatVersion2;
+  persist::SnapshotWriter writer(options);
+  for (const std::string& name : snapshot.names()) {
+    auto payload = snapshot.SectionString(name);
+    EXPECT_TRUE(payload.ok()) << name << ": " << payload.status().ToString();
+    std::string edited = payload.ok() ? std::move(payload).value() : "";
+    edit(name, &edited, &writer);
+    writer.AddRaw(name, std::move(edited));
+  }
+  return writer.Serialize();
 }
 
 StatusOr<std::string> RunQuery(Store& store, const std::string& q) {
@@ -234,6 +291,59 @@ TEST_P(Xar2ParityTest, MappedAnswersMatchHeapByteForByte) {
   }
 }
 
+// The archive's Fig. 5 XML written over a saved snapshot's flat view is
+// byte for byte what Archive::ToXml gives for the live heap archive, under
+// every combination of the E13 ablation options — so stored-byte counts
+// and the heap rebuild of a mapped store see the archive a heap store
+// sees. The snapshot itself carries no XML copy of the archive.
+TEST_P(Xar2ParityTest, ViewWriterMatchesHeapToXml) {
+  const std::string& backend = std::get<0>(GetParam());
+  const bool use_index = std::get<1>(GetParam());
+  const std::string& open_kind = std::get<2>(GetParam());
+  std::unique_ptr<Store> live = MakeLiveStore(backend, use_index);
+
+  ScratchDir dir("writer");
+  const std::string path = dir.File("store.xar");
+  StatusOr<persist::SnapshotView> snapshot =
+      Status::Unimplemented("open kind");
+  if (open_kind == "bytes") {
+    auto bytes = live->SaveToBytes();
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    snapshot = persist::SnapshotView::OpenFromBytes(*bytes);
+  } else {
+    ASSERT_TRUE(live->SaveToFile(path).ok());
+    vfs::Vfs* vfs =
+        open_kind == "mmap" ? vfs::Vfs::Mmap() : vfs::Vfs::Posix();
+    auto file = vfs->Map(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    snapshot = persist::SnapshotView::Adopt(std::move(file).value());
+  }
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_FALSE(snapshot->HasSection("archive"));
+  auto flat = AttachFlat(*snapshot);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  const core::FlatArchiveView view(&*flat);
+  const core::Archive heap = LiveArchive(backend);
+
+  for (bool pretty : {false, true}) {
+    for (bool inherit : {false, true}) {
+      for (bool interval : {false, true}) {
+        core::ArchiveSerializeOptions options;
+        options.pretty = pretty;
+        options.inherit_timestamps = inherit;
+        options.interval_encoding = interval;
+        std::string written;
+        core::WriteArchiveXml(
+            view, options,
+            [&written](std::string_view chunk) { written.append(chunk); });
+        EXPECT_EQ(written, heap.ToXml(options))
+            << "pretty=" << pretty << " inherit=" << inherit
+            << " interval=" << interval;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ArchiveFamily, Xar2ParityTest,
     ::testing::Combine(::testing::Values("archive", "archive-weave"),
@@ -287,14 +397,65 @@ TEST(Xar2PromotionTest, IngestIntoMappedStoreMaterializesOnce) {
   EXPECT_EQ(*(*again)->Retrieve(5), v5);
 }
 
+// An XAR2 file written by an earlier build also carries an "archive"
+// section: the Fig. 5 XML, LZSS-compressed, next to the flat sections.
+// Current builds ignore it. The file still opens mapped, answers like the
+// live store, and takes an ingest; the next save drops the section.
+TEST(Xar2PromotionTest, EarlierXar2WithArchiveSectionOpensReadsAndIngests) {
+  std::unique_ptr<Store> live = MakeLiveStore("archive", /*use_index=*/true);
+  auto bytes = live->SaveToBytes();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto current = persist::SnapshotView::OpenFromBytes(*bytes);
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  core::ArchiveSerializeOptions compact;
+  compact.pretty = false;
+  compact.indent_width = 0;
+  const std::string archive_xml = LiveArchive("archive").ToXml(compact);
+  const std::string earlier = RewriteXar2(
+      *current, [&](const std::string& name, std::string*,
+                    persist::SnapshotWriter* writer) {
+        // Earlier builds wrote it between "opts" and the flat sections.
+        if (name == "meta") writer->Add("archive", archive_xml);
+      });
+  auto earlier_view = persist::SnapshotView::OpenFromBytes(earlier);
+  ASSERT_TRUE(earlier_view.ok()) << earlier_view.status().ToString();
+  ASSERT_TRUE(earlier_view->HasSection("archive"));
+
+  auto reopened_or = StoreRegistry::Global().OpenFromBytes(earlier);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  Store& reopened = **reopened_or;
+  ASSERT_EQ(reopened.version_count(), live->version_count());
+  for (Version v = 1; v <= live->version_count(); ++v) {
+    EXPECT_EQ(*reopened.Retrieve(v), *live->Retrieve(v)) << "v" << v;
+  }
+  for (const char* q : {"/db/entry[*] @ versions 1..4", "/db diff 1 4"}) {
+    auto a = RunQuery(*live, q);
+    auto b = RunQuery(reopened, q);
+    ASSERT_TRUE(a.ok() && b.ok()) << q << ": " << b.status().ToString();
+    EXPECT_EQ(*a, *b) << q;
+  }
+  EXPECT_EQ(reopened.Stats().stored_bytes, live->Stats().stored_bytes);
+
+  const std::string v5 =
+      Canonical("<db>" + Entry(1, "changed") + Entry(4, "delta") + "</db>");
+  ASSERT_TRUE(reopened.Append(v5).ok());
+  ASSERT_TRUE(live->Append(v5).ok());
+  EXPECT_EQ(*reopened.Retrieve(5), v5);
+  auto a = live->SaveToBytes();
+  auto b = reopened.SaveToBytes();
+  ASSERT_TRUE(a.ok() && b.ok()) << b.status().ToString();
+  EXPECT_EQ(*a, *b);
+}
+
 // ------------------------------------------------- mapped reads stay flat
 
-// Opening an XAR2 file through the mmap VFS and answering Retrieve,
-// History, and lookup / scan / EXPLAIN queries navigates the mapped
-// records only: no xml::Node is created, so the heap archive is never
-// parsed. Diff and stored bytes are the reads that may load it; ingest
-// does, and must then save the same bytes as a heap store that was fed
-// the same versions.
+// Opening an XAR2 file through the mmap VFS and answering every read —
+// Retrieve, History, lookup / scan / EXPLAIN / diff queries,
+// DiffVersions, Stats, ByteSize and StoredBytes — navigates the mapped
+// records only: no xml::Node is created, so no heap archive is built, and
+// each answer equals the live heap store's. Only ingest rebuilds the heap
+// archive, and the store must then save the same bytes as a heap store
+// that was fed the same versions.
 class Xar2MappedReadTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(Xar2MappedReadTest, ReadsNeverBuildTheHeapArchive) {
@@ -306,6 +467,14 @@ TEST_P(Xar2MappedReadTest, ReadsNeverBuildTheHeapArchive) {
   auto mapped_or = StoreRegistry::Open(path, {}, vfs::Vfs::Mmap());
   ASSERT_TRUE(mapped_or.ok()) << mapped_or.status().ToString();
   Store& mapped = **mapped_or;
+
+  // The live store's answers, taken before the window below.
+  auto live_diff = live->DiffVersions(1, 4);
+  ASSERT_TRUE(live_diff.ok()) << live_diff.status().ToString();
+  auto live_diff_query = RunQuery(*live, "/db diff 1 3");
+  ASSERT_TRUE(live_diff_query.ok()) << live_diff_query.status().ToString();
+  const StoreStats live_stats = live->Stats();
+  const std::string live_stored = live->StoredBytes();
 
   const uint64_t created_before = xml::Node::CreatedCount();
   for (Version v = 1; v <= mapped.version_count(); ++v) {
@@ -329,11 +498,22 @@ TEST_P(Xar2MappedReadTest, ReadsNeverBuildTheHeapArchive) {
   auto explain = RunQuery(mapped, "explain /db/entry[id=\"3\"] @ version 4");
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   EXPECT_NE(explain->find("(mapped=true)"), std::string::npos) << *explain;
+  auto diff = mapped.DiffVersions(1, 4);
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  EXPECT_EQ(core::FormatChanges(*diff), core::FormatChanges(*live_diff));
+  auto diff_query = RunQuery(mapped, "/db diff 1 3");
+  ASSERT_TRUE(diff_query.ok()) << diff_query.status().ToString();
+  EXPECT_EQ(*diff_query, *live_diff_query);
+  const StoreStats stats = mapped.Stats();
+  EXPECT_EQ(stats.node_count, live_stats.node_count);
+  EXPECT_EQ(stats.stored_bytes, live_stats.stored_bytes);
+  EXPECT_EQ(mapped.ByteSize(), live_stats.stored_bytes);
+  EXPECT_EQ(mapped.StoredBytes(), live_stored);
   EXPECT_EQ(xml::Node::CreatedCount(), created_before)
       << "a mapped read built xml::Nodes (heap archive load)";
 
-  // Ingest loads the heap archive once; afterwards the store saves exactly
-  // what a heap store fed the same five versions saves.
+  // Ingest rebuilds the heap archive once; afterwards the store saves
+  // exactly what a heap store fed the same five versions saves.
   const std::string v5 =
       Canonical("<db>" + Entry(2, "beta") + Entry(5, "epsilon") + "</db>");
   ASSERT_TRUE(mapped.Append(v5).ok());
@@ -463,6 +643,86 @@ TEST(Xar2CorruptionTest, EveryFlippedByteFailsWithDataLoss) {
     EXPECT_EQ(mapped.status().code(), StatusCode::kDataLoss)
         << "mmap flip at byte " << i;
   }
+}
+
+// A CRC-valid XAR2 whose flat sections pass FlatArchive::Attach but break
+// an archive invariant Attach does not check: a child's timestamp is not
+// a subset of its parent's. Reads navigate it as stored; the first ingest
+// rebuilds the heap archive, whose checks reject it with a Status, and the
+// store stays as it was — mapped, same version count, same answers.
+TEST(Xar2CorruptionTest, FlatInvariantViolationFailsTheFirstIngest) {
+  std::unique_ptr<Store> live = MakeLiveStore("archive");
+  auto bytes = live->SaveToBytes();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto snapshot = persist::SnapshotView::OpenFromBytes(*bytes);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  auto flat = AttachFlat(*snapshot);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+
+  // A stamped inner node, its first child, and a pooled stamp that is not
+  // a subset of the node's.
+  uint32_t child = 0, bad_stamp_plus1 = 0;
+  for (uint32_t n = 1; n < flat->node_count() && child == 0; ++n) {
+    const uint32_t own =
+        flat->NodeField(n, core::FlatArchive::kNodeStampIdPlus1);
+    if (own == 0 ||
+        flat->NodeField(n, core::FlatArchive::kNodeChildCount) == 0) {
+      continue;
+    }
+    const VersionSet parent = flat->StampAt(own - 1);
+    for (uint32_t id = 0; id < flat->stamp_count(); ++id) {
+      if (!parent.IsSupersetOf(flat->StampAt(id))) {
+        child = flat->NodeField(n, core::FlatArchive::kNodeChildBegin);
+        bad_stamp_plus1 = id + 1;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(child, 0u) << "no stamped inner node to corrupt";
+  const std::string hostile = RewriteXar2(
+      *snapshot, [&](const std::string& name, std::string* payload,
+                     persist::SnapshotWriter*) {
+        if (name != "nodes") return;
+        const size_t at = 4 + size_t{child} * 4 * core::FlatArchive::kNodeFields +
+                          4 * core::FlatArchive::kNodeStampIdPlus1;
+        ASSERT_LE(at + 4, payload->size());
+        for (int i = 0; i < 4; ++i) {
+          (*payload)[at + i] =
+              static_cast<char>((bad_stamp_plus1 >> (8 * i)) & 0xff);
+        }
+      });
+  ASSERT_NE(hostile, *bytes);
+
+  auto store_or = StoreRegistry::Global().OpenFromBytes(hostile);
+  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+  Store& store = **store_or;
+  auto read_all = [&store]() {
+    std::vector<std::string> out;
+    for (Version v = 1; v <= store.version_count(); ++v) {
+      auto got = store.Retrieve(v);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      out.push_back(got.ok() ? *got : got.status().ToString());
+    }
+    auto range = RunQuery(store, "/db/entry[*] @ versions 1..4");
+    out.push_back(range.ok() ? *range : range.status().ToString());
+    return out;
+  };
+  const Version count = store.version_count();
+  const std::vector<std::string> before = read_all();
+
+  const std::string v5 =
+      Canonical("<db>" + Entry(1, "changed") + Entry(4, "delta") + "</db>");
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    Status appended = store.Append(v5);
+    EXPECT_FALSE(appended.ok()) << "attempt " << attempt;
+    EXPECT_NE(appended.message().find("not a subset"), std::string::npos)
+        << appended.ToString();
+    EXPECT_EQ(store.version_count(), count);
+    EXPECT_EQ(read_all(), before);
+  }
+  auto resaved = store.SaveToBytes();
+  ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+  EXPECT_EQ(*resaved, hostile);
 }
 
 TEST(Xar2CorruptionTest, EveryTruncationFailsCleanly) {
